@@ -59,7 +59,7 @@ def _cmd_local_exp(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     try:
-        record = counting.census(args.n, jobs=args.jobs, check_oracle=args.check_oracle)
+        record = counting.census(args.n, check_oracle=args.check_oracle)
     except DispatchMismatchError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -148,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
     p_census.add_argument("--out", help="output path (default: $%s/census_n<n>.<ext>)" % OUTDIR_ENV)
     p_census.add_argument("--check-oracle", action="store_true",
-                          help="assert dispatch equals the oracle for every spec")
-    p_census.add_argument("--jobs", type=int, default=1, help="worker processes (1 = sequential)")
+                          help="assert walk, dispatch and oracle agree on every primitive spec")
     p_census.set_defaults(handler=_cmd_census)
 
     p_count = sub.add_parser("count-imprimitive", help="number of imprimitive irreducible specs")

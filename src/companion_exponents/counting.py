@@ -1,8 +1,9 @@
 """Counting formulas and the exhaustive exponent census over companion specs.
 
-The census enumerates every irreducible last row of a given order (there
-are 2**(n-1) of them), computes the exponent of each primitive one via
-the rule dispatcher, and aggregates an exponent histogram, the attained
+The census covers every irreducible last row of a given order (there
+are 2**(n-1) of them).  One bit-sliced walk of the reach sets from
+vertex n, with one bit per row, gives the exponent of each primitive
+row, and the census aggregates an exponent histogram, the attained
 exponent set, and one lexicographically smallest witness row per
 exponent.  Output is deterministic: the CSV and JSON emitters produce
 byte-identical text for identical inputs and tool version.
@@ -12,14 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import formulas, oracle
 from ._version import __version__
-from .core import CompanionSpec, companion_matrix
+from .core import CompanionSpec, companion_matrix, wielandt_bound
 from .frobenius import conductor
 
 MAX_CENSUS_ORDER = 20
@@ -238,7 +237,6 @@ class CensusRecord:
     exponent_set: tuple[int, ...]
     witnesses: dict[int, str]
     imprimitive_count: int
-    reducible_count: int
 
     @property
     def total_irreducible(self) -> int:
@@ -280,79 +278,77 @@ class CensusRecord:
             exponent_set=exponents,
             witnesses={int(k): v for k, v in data["witnesses"].items()},
             imprimitive_count=data["imprimitive_count"],
-            reducible_count=data["total_irreducible"],
         )
 
 
-def membership(record: CensusRecord, m: int) -> tuple[bool, str | None]:
-    """Point query against a computed census."""
-    return record.membership(m)
+def _walk(n: int) -> dict[int, int]:
+    """Exponent -> mask of the rows attaining it, for every primitive row of order n.
+
+    Bit y of each mask stands for the irreducible row "1" + (n-1 bits of
+    y, MSB first).  reach[v] holds the rows whose walks of length k from
+    vertex n can end at vertex v + 1.  A walk from vertex i reaches n
+    after n - i forced steps, so a row has exponent n - 1 + k for the
+    first k at which its reach set covers 1..n; imprimitive rows never
+    get there.  Rows get exponents in increasing order, so the dict is
+    sorted.
+    """
+    everything = (1 << (1 << (n - 1))) - 1
+    support = []
+    for c in range(2, n + 1):
+        half = 1 << (n - c)
+        # rows with bit n - c of y set: runs of `half` ones after as many zeros
+        support.append(everything // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    reach = [0] * (n - 1) + [everything]
+    done = 0
+    masks: dict[int, int] = {}
+    for k in range(1, wielandt_bound(n) - n + 2):
+        last = reach[-1]
+        reach = [last] + [prev | (last & sup) for prev, sup in zip(reach, support)]
+        full = everything
+        for r in reach:
+            full &= r
+        new = full & ~done
+        if new:
+            masks[n - 1 + k] = new
+            done |= new
+    return masks
 
 
-def _census_chunk(n: int, start: int, stop: int, check_oracle: bool):
-    histogram: Counter[int] = Counter()
-    witnesses: dict[int, str] = {}
-    imprimitive = 0
-    width = n - 1
-    for y in range(start, stop):
-        if _row_gcd(n, y) > 1:
-            imprimitive += 1
-            continue
-        row = "1" + format(y, f"0{width}b")
-        report = formulas.exponent(CompanionSpec(n, row))
-        if check_oracle:
-            true_exp = oracle.exponent(companion_matrix(CompanionSpec(n, row)))
-            if true_exp != report.value:
-                raise DispatchMismatchError(
-                    f"dispatch rule {report.rule} gave {report.value}, "
-                    f"oracle gave {true_exp} for spec {n} {row}")
-        histogram[report.value] += 1
-        if report.value not in witnesses:
-            witnesses[report.value] = row
-    return histogram, witnesses, imprimitive
-
-
-def _census_chunk_star(args):
-    return _census_chunk(*args)
-
-
-def census(n: int, jobs: int = 1, check_oracle: bool = False) -> CensusRecord:
+def census(n: int, check_oracle: bool = False) -> CensusRecord:
     """Enumerate all 2**(n-1) irreducible specs of order n and aggregate exponents.
 
-    With jobs > 1 the row index space is split into contiguous ranges
-    processed by worker processes; partial histograms merge by addition
-    and witnesses by lexicographic minimum, so the output is identical to
-    a sequential run.
+    The exponents come from one bit-sliced reach-set walk over every row
+    at once.  With check_oracle=True each primitive row is also run
+    through the rule dispatcher and the powering oracle, and
+    DispatchMismatchError is raised unless walk, dispatcher and oracle
+    all agree.
     """
     if not 3 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"order must be in [3, {MAX_CENSUS_ORDER}], got {n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    total = 1 << (n - 1)
-    if jobs == 1:
-        parts = [_census_chunk(n, 0, total, check_oracle)]
-    else:
-        step = -(-total // (jobs * 4))
-        bounds = list(range(0, total, step)) + [total]
-        tasks = [(n, lo, hi, check_oracle) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_census_chunk_star, tasks))
+    masks = _walk(n)
+    width = n - 1
 
-    histogram: Counter[int] = Counter()
-    witnesses: dict[int, str] = {}
-    imprimitive = 0
-    for part_hist, part_wit, part_imp in parts:
-        histogram.update(part_hist)
-        for value, row in part_wit.items():
-            if value not in witnesses or row < witnesses[value]:
-                witnesses[value] = row
-        imprimitive += part_imp
-    exponents = tuple(sorted(histogram))
+    def row(y: int) -> str:
+        return "1" + format(y, f"0{width}b")
+
+    if check_oracle:
+        for value, mask in masks.items():
+            bits = format(mask, "b")[::-1]
+            y = bits.find("1")
+            while y >= 0:
+                spec = CompanionSpec(n, row(y))
+                report = formulas.exponent(spec)
+                true_exp = oracle.exponent(companion_matrix(spec))
+                if not value == report.value == true_exp:
+                    raise DispatchMismatchError(
+                        f"walk gave {value}, dispatch rule {report.rule} gave {report.value}, "
+                        f"oracle gave {true_exp} for spec {n} {spec.row_string}")
+                y = bits.find("1", y + 1)
+    histogram = {e: mask.bit_count() for e, mask in masks.items()}
     return CensusRecord(
         n=n,
-        histogram={e: histogram[e] for e in exponents},
-        exponent_set=exponents,
-        witnesses={e: witnesses[e] for e in exponents},
-        imprimitive_count=imprimitive,
-        reducible_count=total,
+        histogram=histogram,
+        exponent_set=tuple(masks),
+        witnesses={e: row((mask & -mask).bit_length() - 1) for e, mask in masks.items()},
+        imprimitive_count=(1 << width) - sum(histogram.values()),
     )

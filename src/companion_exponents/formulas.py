@@ -33,7 +33,6 @@ from .frobenius import conductor
 from .oracle import NotPrimitiveError
 
 RULE_POSITIVE_TRACE = "POSITIVE_TRACE"
-RULE_FULL_ROW = "FULL_ROW"
 RULE_TWO_CYCLES = "TWO_CYCLES"
 RULE_SMALLEST_CYCLE_2 = "SMALLEST_CYCLE_2"
 RULE_BLOCK_V1_PREFIX = "BLOCK_V1_PREFIX"
@@ -41,7 +40,6 @@ RULE_ORACLE = "ORACLE"
 
 RULES = frozenset({
     RULE_POSITIVE_TRACE,
-    RULE_FULL_ROW,
     RULE_TWO_CYCLES,
     RULE_SMALLEST_CYCLE_2,
     RULE_BLOCK_V1_PREFIX,
@@ -72,13 +70,11 @@ class LocalExpQuery:
 
     Stepping `offset` back from `target` reaches the nearest support
     vertex at or below it, so exp(1 -> target) equals
-    exp(1 -> target - offset) + offset.  `max_gap` carries the gap
-    statistic when the lower-bound rule produced the query.
+    exp(1 -> target - offset) + offset.
     """
 
     target: int
     offset: int
-    max_gap: int | None = None
 
 
 def _not_primitive_message(spec: CompanionSpec) -> str:

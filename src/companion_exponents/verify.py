@@ -43,15 +43,6 @@ def _primitive_specs(n: int):
             yield spec
 
 
-_census_cache: dict[int, counting.CensusRecord] = {}
-
-
-def _census(n: int) -> counting.CensusRecord:
-    if n not in _census_cache:
-        _census_cache[n] = counting.census(n)
-    return _census_cache[n]
-
-
 def _check_cycle_structure(n_max: int) -> CheckResult:
     checked = 0
     for n in range(3, n_max + 1):
@@ -131,7 +122,7 @@ def _check_dispatch(n_max: int) -> CheckResult:
 
 def _check_range_uniqueness(n_max: int) -> CheckResult:
     for n in range(3, n_max + 1):
-        record = _census(n)
+        record = counting.census(n)
         bound = wielandt_bound(n)
         if record.exponent_set[0] != n or record.exponent_set[-1] > bound:
             return CheckResult("range-uniqueness", False, f"exponent set out of range at order {n}")
@@ -202,7 +193,7 @@ def _check_counting(n_max: int) -> CheckResult:
 
 def _check_membership(n_max: int) -> CheckResult:
     for n in range(3, n_max + 1):
-        record = _census(n)
+        record = counting.census(n)
         missing = [t for t in range(n, 2 * (n - 1) + 1) if t not in record.histogram]
         if missing:
             return CheckResult("membership", False, f"[{n}, {2 * (n - 1)}] not covered at order {n}: {missing}")
@@ -217,7 +208,7 @@ def _check_membership(n_max: int) -> CheckResult:
                     "membership", False,
                     f"smallest-cycle-2 exponent {value} outside [{n}, {top}] at {spec.row_string}")
         if n % 2:
-            record = _census(n)
+            record = counting.census(n)
             for x in range((n - 3) // 2 + 1):
                 if 2 * n - 1 + 2 * x not in record.histogram:
                     return CheckResult("membership", False, f"{2 * n - 1 + 2 * x} missing from order {n}")

@@ -1,9 +1,11 @@
 """CLI surface: output formats, exit codes, file emission."""
 
+import dataclasses
 import json
 
 import pytest
 
+from companion_exponents import formulas
 from companion_exponents.cli import main
 
 
@@ -104,12 +106,16 @@ class TestCensusCommand:
         code, _, _ = run(capsys, "census", "6", "--check-oracle", "--out", str(tmp_path / "c6.csv"))
         assert code == 0
 
-    def test_jobs_flag_matches_sequential(self, capsys, tmp_path):
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        assert run(capsys, "census", "9", "--out", str(seq))[0] == 0
-        assert run(capsys, "census", "9", "--jobs", "2", "--out", str(par))[0] == 0
-        assert seq.read_bytes() == par.read_bytes()
+    def test_check_oracle_mismatch_exit_four(self, capsys, tmp_path, monkeypatch):
+        real = formulas.exponent
+        monkeypatch.setattr(
+            formulas, "exponent",
+            lambda spec: dataclasses.replace(real(spec), value=real(spec).value + 1))
+        out_path = tmp_path / "c6.csv"
+        code, _, err = run(capsys, "census", "6", "--check-oracle", "--out", str(out_path))
+        assert code == 4
+        assert "walk gave" in err and "oracle gave" in err
+        assert not out_path.exists()
 
     def test_bad_order(self, capsys):
         code, _, _ = run(capsys, "census", "2")

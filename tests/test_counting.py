@@ -1,5 +1,7 @@
 """Counting formulas, string statistics, and the exponent census."""
 
+import dataclasses
+import hashlib
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from companion_exponents import (
     CensusRecord,
     CompanionSpec,
+    DispatchMismatchError,
     companion_matrix,
     block_prefix_upper_count,
     census,
@@ -19,18 +22,79 @@ from companion_exponents import (
     is_primitive,
     list_imprimitive,
     longest_run,
-    membership,
     oracle_exponent,
     string_count_table,
     t_runs,
     two_coprime_exponent_claim,
     vertex_partition,
 )
+from companion_exponents import formulas, oracle
 from helpers import binary_strings, irreducible_rows, longest_zero_run
 
 KNOWN_IMPRIMITIVE_TAILS_8 = {
     "0000000", "0100000", "0001000", "0000010",
     "0101000", "0100010", "0001010", "0101010",
+}
+
+# SHA-256 of census(n).to_csv() and .to_json() as the rule-dispatch census
+# produced them; the JSON digest also pins tool_version.
+CENSUS_DIGESTS = {
+    3: (
+        "38a15b2ed04ddaba24535b9d59c78d9bd6b9f9f9741dd63787c92be7dcc86403",
+        "2404119c031e903f246e4c54694adf1d6f5aa2666746d4c2fd0dff5f545f23ca",
+    ),
+    4: (
+        "c83edce62d6063baa4c97aa050985d7cc159f19a25a040cc8e471b0c91eaed12",
+        "44e585b4efb51e3992c58de1e8882e8870f5b58383e1089f1ae7a195a2940fb6",
+    ),
+    5: (
+        "7ff9af58d2cd805d2091973e702a0d05d47bcad87a489e3d099adf15c4e914b8",
+        "20163c905d476b7cd5752a0c90843cc339c55b37896f968b92a5a37855591cb0",
+    ),
+    6: (
+        "ff525b13e8ea57577fc7cfaaf270149d9f597c5ee314d94db41555d451e23b0e",
+        "a49573f57ef839d3116d95142d8c799e0968771bf6fc60bb27e67352eca315d8",
+    ),
+    7: (
+        "0a0e73e6ff850856c28a7ad4b7c152916f984574345c602f2b633414900c6eaa",
+        "bf29a203dc2eb804e9d4f396490df67ec4b398d2604abf6fd6cb4d4ebc0e7d62",
+    ),
+    8: (
+        "4912389883046063c8db678f5862d25778e94cbb77cbd7091ca6b00f6e820753",
+        "96fe9bdfa1c9b66bede556516349032d4ef0c459ebb4ca1e4b97303fd33fc0e0",
+    ),
+    9: (
+        "47aa6d47d0321969b89d24805dee1e7f9880fe84347445fefddf5832205fd54c",
+        "6e36907cf48c741674f5f9bb260efad7a980c0f2bdf7960acea46ed12d788396",
+    ),
+    10: (
+        "9f6abb13bf23ca14f31707102480adfc0cfd654711edc81025843e7f1265b03e",
+        "edf52251460b0cd349f5b0890001ba44aecf0efda849b58f20b017fdd493d0ed",
+    ),
+    11: (
+        "4bab991e4df9f5379979b280cc4dd55c7a9ded95faa0c9d83c47af558a6c8fa1",
+        "8828d24bfc482a1ef21da50bc588e2f0aab86ece0a49fd866099c597653dd6c1",
+    ),
+    12: (
+        "407acb01f956d42a0f8965ab3fa4111fe2b98902b9ea3188d73e3a9c0ec506df",
+        "983dab7e1255b83c69d8ad8e88a2dcb1e584b7f80279ef491767d1b674fe5417",
+    ),
+    13: (
+        "84917bac06a925ad315306e6b4cc057da820b493df39fe9462e13dc03b8d7109",
+        "8fa5db5c28e74514a808b61cd5274cea7f9fd75964a030cdb21709e30c260516",
+    ),
+    14: (
+        "caa69f078b183587935f726e9e64afa97d9ca306700ee46077b412adeaa07147",
+        "0f0d0a69f22ed056709e8ff043879ddf7e62b56c05ff2b3e3c56f5086e86bf51",
+    ),
+    15: (
+        "569a23c584c3964809e8939f79def409319b75606012147e626b7a035340dadb",
+        "f0d79091338ee4ef312bcc843c3205fceeb78f51eab47bf047af9368ff27ed5b",
+    ),
+    16: (
+        "fda41360558f477c0526e902c101035e681377e6812fd2310c9f7a7454863eb4",
+        "1c13e3391b5bd0c6cb1826af8fcc756251f39db4cf6d063102e4ff364ae2671a",
+    ),
 }
 
 
@@ -197,7 +261,7 @@ class TestCensus:
         for n in (5, 8, 10):
             record = census_cache(n)
             assert record.primitive_count + record.imprimitive_count == 1 << (n - 1)
-            assert record.reducible_count == 1 << (n - 1)
+            assert record.total_irreducible == 1 << (n - 1)
             assert record.exponent_set[0] == n
 
     def test_witnesses_attain_their_exponent(self, census_cache):
@@ -218,10 +282,10 @@ class TestCensus:
 
     def test_membership(self, census_cache):
         record = census_cache(10)
-        assert membership(record, 10) == (True, "1111111111")
-        assert membership(record, 20) == (False, None)
-        assert membership(record, 82) == (True, "1100000000")
-        assert membership(record, 83) == (False, None)
+        assert record.membership(10) == (True, "1111111111")
+        assert record.membership(20) == (False, None)
+        assert record.membership(82) == (True, "1100000000")
+        assert record.membership(83) == (False, None)
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
@@ -230,14 +294,27 @@ class TestCensus:
             census(21)
 
     def test_check_oracle_passes(self):
-        census(7, check_oracle=True)
+        # walk, dispatcher and powering oracle on every primitive row
+        for n in range(3, 13):
+            census(n, check_oracle=True)
 
-    def test_parallel_matches_sequential(self, census_cache):
-        record = census_cache(10)
-        parallel = census(10, jobs=2)
-        assert parallel == record
-        assert parallel.to_csv() == record.to_csv()
-        assert parallel.to_json() == record.to_json()
+    def test_check_oracle_mismatch_raises(self, monkeypatch):
+        real_rules, real_oracle = formulas.exponent, oracle.exponent
+        monkeypatch.setattr(
+            formulas, "exponent",
+            lambda spec: dataclasses.replace(real_rules(spec), value=real_rules(spec).value + 1))
+        with pytest.raises(DispatchMismatchError,
+                           match="walk gave 6, dispatch rule POSITIVE_TRACE gave 7, oracle gave 6 "):
+            census(6, check_oracle=True)
+        # dispatcher and oracle agree, the walk does not
+        monkeypatch.setattr(oracle, "exponent", lambda matrix: real_oracle(matrix) + 1)
+        with pytest.raises(DispatchMismatchError,
+                           match="walk gave 6, dispatch rule POSITIVE_TRACE gave 7, oracle gave 7 "):
+            census(6, check_oracle=True)
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_imprimitive_count_matches_inclusion_exclusion(self, census_cache, n):
+        assert census_cache(n).imprimitive_count == count_imprimitive(n)
 
 
 class TestCensusSerialization:
@@ -249,6 +326,13 @@ class TestCensusSerialization:
         assert lines[-1] == "6,26,1,110000"
         exponents = [int(line.split(",")[1]) for line in lines[1:]]
         assert exponents == sorted(exponents)
+
+    @pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
+    def test_bytes_pinned(self, census_cache, n):
+        record = census_cache(n)
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest() for text in (record.to_csv(), record.to_json()))
+        assert digests == CENSUS_DIGESTS[n]
 
     def test_csv_deterministic(self, census_cache):
         assert census(6).to_csv() == census_cache(6).to_csv()

@@ -55,7 +55,7 @@ class TestExponentReport:
 
     def test_rule_names(self):
         assert RULES == {
-            "POSITIVE_TRACE", "FULL_ROW", "TWO_CYCLES",
+            "POSITIVE_TRACE", "TWO_CYCLES",
             "SMALLEST_CYCLE_2", "BLOCK_V1_PREFIX", "ORACLE",
         }
 
