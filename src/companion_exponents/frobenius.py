@@ -6,6 +6,13 @@ combination of the generators.  The classical Frobenius number is the
 largest non-representable integer, i.e. the conductor minus one; the code
 says "conductor" throughout because the exponent rules consume exactly
 that convention and the off-by-one is easy to smuggle in otherwise.
+
+`conductor` finds, for every residue r modulo the smallest generator a,
+the smallest representable integer congruent to r, by round-robin
+shortest paths (Boecker & Liptak, Algorithmica 2007): O(a*u) time and
+O(a) memory for u generators.  Sets with a*u above MAX_CONDUCTOR_WORK
+are refused with ValueError.  `representable` keeps its own sieve, an
+independent path that checks the conductor.
 """
 
 from __future__ import annotations
@@ -13,6 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+
+MAX_CONDUCTOR_WORK = 4_000_000
+"""Largest smallest-generator times generator-count `conductor` accepts (about 1 s)."""
 
 
 class NotCoprimeError(ValueError):
@@ -56,20 +67,41 @@ def representable(x: int, gens: GeneratorSet | Iterable[int]) -> bool:
 def conductor(gens: GeneratorSet | Iterable[int]) -> int:
     """Smallest c such that every integer >= c is representable.
 
-    Sieves representability on [0, (min-1)(max-1) + 1].  The largest
-    non-representable integer of any gcd-1 generator set lies below
-    (min-1)(max-1): every residue class modulo the smallest generator is
-    reached within min-1 generator additions, each at most max.
+    With a the smallest generator, let least[r] be the smallest
+    representable integer congruent to r modulo a.  Each further
+    generator b is folded in by walking the cycles r -> r + b (mod a),
+    each from its residue of smallest least[] value, and relaxing
+    least[(r + b) % a] with least[r] + b.  Once all generators are in,
+    least[r] - a is the largest non-representable integer of class r,
+    so the conductor is max(least) - a + 1.  Raises ValueError when
+    a * (number of generators) exceeds MAX_CONDUCTOR_WORK.
     """
     g = GeneratorSet.of(gens)
     if g.gcd != 1:
         raise NotCoprimeError(f"gcd of generators {g.values} is {g.gcd}, conductor undefined")
-    limit = (g.values[0] - 1) * (g.values[-1] - 1) + 1
-    table = _representable_table(g, limit)
-    for x in range(limit, -1, -1):
-        if not table[x]:
-            return x + 1
-    return 0
+    a = g.values[0]
+    if a * len(g.values) > MAX_CONDUCTOR_WORK:
+        raise ValueError(
+            f"smallest generator {a} times {len(g.values)} generators exceeds the limit "
+            f"{MAX_CONDUCTOR_WORK} (MAX_CONDUCTOR_WORK)")
+    least = [math.inf] * a
+    least[0] = 0
+    for b in g.values[1:]:
+        d = math.gcd(a, b)
+        for p in range(d):
+            start = min(range(p, a, d), key=least.__getitem__)
+            x = least[start]
+            if x == math.inf:
+                continue
+            r = start
+            for _ in range(a // d - 1):
+                x += b
+                r = (r + b) % a
+                if least[r] < x:
+                    x = least[r]
+                else:
+                    least[r] = x
+    return max(least) - a + 1
 
 
 def pair_conductor(a: int, b: int) -> int:

@@ -6,11 +6,25 @@ k.  Every scan is cut off at the Wielandt bound (n-1)**2 + 1: a primitive
 matrix turns all-positive by then, so reaching the cutoff without an
 all-positive power certifies the matrix is not primitive, with no
 probabilistic slack.
+
+Internally a matrix of order n is packed into one int, with row i
+(1-based) in the n-bit slot at bits (i-1)n .. in-1, and every product
+goes through one kernel:
+
+    p . Y = OR_k ((p >> k) & slots) * Y.rows[k],   slots = sum_i 2**(i*n)
+
+`(p >> k) & slots` keeps bit 0 of each slot exactly when that row of p
+has column k set.  Every row of Y is below 2**n, so the multiply copies
+row k of Y into those slots and nowhere else, with no carry from one slot
+into the next.  A single row is a one-slot p, so the same kernel steps a
+row walk.  The kernel is a general boolean-semiring product; it uses no
+companion structure, which keeps the oracle independent of the rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .core import BoolMatrix, wielandt_bound
 
@@ -19,20 +33,43 @@ class NotPrimitiveError(ValueError):
     """No power of the matrix within the Wielandt bound is all-positive."""
 
 
+def _slots(n: int) -> int:
+    """Bit 0 of each of the n row slots of a packed matrix of order n."""
+    return ((1 << (n * n)) - 1) // ((1 << n) - 1)
+
+
+def _pack(m: BoolMatrix) -> int:
+    return sum(row << (i * m.n) for i, row in enumerate(m.rows))
+
+
+def _unpack(p: int, n: int) -> tuple[int, ...]:
+    full = (1 << n) - 1
+    return tuple((p >> (i * n)) & full for i in range(n))
+
+
+def _times(p: int, rows: Sequence[int], slots: int) -> int:
+    """Packed p times the matrix with the given rows (see the module docstring)."""
+    out = 0
+    for k, row in enumerate(rows):
+        out |= ((p >> k) & slots) * row
+    return out
+
+
+def _powers(m: BoolMatrix) -> Iterator[int]:
+    """Packed m**1, m**2, .., m**bound, one product per step."""
+    slots = _slots(m.n)
+    power = _pack(m)
+    yield power
+    for _ in range(wielandt_bound(m.n) - 1):
+        power = _times(power, m.rows, slots)
+        yield power
+
+
 def bool_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
     """Boolean matrix product: (xy)_ij = OR_k (x_ik AND y_kj)."""
     if x.n != y.n:
         raise ValueError(f"order mismatch: {x.n} vs {y.n}")
-    out = []
-    for mask in x.rows:
-        acc = 0
-        m = mask
-        while m:
-            low = m & -m
-            acc |= y.rows[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return BoolMatrix(x.n, tuple(out))
+    return BoolMatrix(x.n, _unpack(_times(_pack(x), y.rows, _slots(x.n)), x.n))
 
 
 def has_positive_power(m: BoolMatrix) -> bool:
@@ -42,16 +79,19 @@ def has_positive_power(m: BoolMatrix) -> bool:
     it is enough to look at the single power at the cutoff, reached here
     by binary powering.
     """
-    k = wielandt_bound(m.n)
+    n = m.n
+    slots = _slots(n)
+    k = wielandt_bound(n)
     acc = None
-    base = m
+    base = _pack(m)
     while k:
+        rows = _unpack(base, n)
         if k & 1:
-            acc = base if acc is None else bool_product(acc, base)
+            acc = base if acc is None else _times(acc, rows, slots)
         k >>= 1
         if k:
-            base = bool_product(base, base)
-    return acc.is_all_ones
+            base = _times(base, rows, slots)
+    return acc == (1 << (n * n)) - 1
 
 
 def _require_primitive(m: BoolMatrix) -> None:
@@ -70,29 +110,18 @@ def exponent(m: BoolMatrix) -> int:
     Raises NotPrimitiveError when no power up to the Wielandt bound is
     all-positive (and hence none at all).
     """
-    bound = wielandt_bound(m.n)
-    power = m
-    for k in range(1, bound + 1):
-        if power.is_all_ones:
+    full = (1 << (m.n * m.n)) - 1
+    for k, power in enumerate(_powers(m), 1):
+        if power == full:
             return k
-        if k < bound:
-            power = bool_product(power, m)
-    raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {bound}")
+    raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {wielandt_bound(m.n)}")
 
 
 def _row_walks(m: BoolMatrix, i: int) -> list[int]:
     """Bitmask of vertices reachable from i by a walk of length l, for l = 1..bound."""
-    out = []
-    reach = m.rows[i - 1]
-    for _ in range(wielandt_bound(m.n)):
-        out.append(reach)
-        acc = 0
-        front = reach
-        while front:
-            low = front & -front
-            acc |= m.rows[low.bit_length() - 1]
-            front ^= low
-        reach = acc
+    out = [m.rows[i - 1]]
+    for _ in range(wielandt_bound(m.n) - 1):
+        out.append(_times(out[-1], m.rows, 1))
     return out
 
 
@@ -135,11 +164,7 @@ class PowerTrace:
 
     @classmethod
     def compute(cls, m: BoolMatrix) -> "PowerTrace":
-        bound = wielandt_bound(m.n)
-        powers = [m]
-        for _ in range(bound - 1):
-            powers.append(bool_product(powers[-1], m))
-        return cls(m.n, tuple(powers))
+        return cls(m.n, tuple(BoolMatrix(m.n, _unpack(p, m.n)) for p in _powers(m)))
 
     def power(self, k: int) -> BoolMatrix:
         """m**k for 1 <= k <= bound."""
@@ -160,20 +185,22 @@ class LocalExponentTable:
 
 
 def local_exponent_table(m: BoolMatrix) -> LocalExponentTable:
-    """Tabulate all local exponents with one walk trace per source vertex."""
+    """Tabulate all local exponents from one packed power sequence.
+
+    The powers m**bound .. m**1 are scanned downward; an entry's local
+    exponent is one past the first length, from the top, at which it is
+    missing, and `pending` holds the entries not yet seen missing.
+    """
     _require_primitive(m)
-    bound = wielandt_bound(m.n)
-    values = []
-    for i in range(1, m.n + 1):
-        walks = _row_walks(m, i)
-        row_vals = []
-        for j in range(1, m.n + 1):
-            bit = 1 << (j - 1)
-            v = 1
-            for length in range(bound, 0, -1):
-                if not walks[length - 1] & bit:
-                    v = length + 1
-                    break
-            row_vals.append(v)
-        values.append(tuple(row_vals))
-    return LocalExponentTable(m.n, tuple(values))
+    n = m.n
+    powers = list(_powers(m))
+    values = [1] * (n * n)
+    pending = (1 << (n * n)) - 1
+    for length in range(len(powers), 0, -1):
+        missing = pending & ~powers[length - 1]
+        pending ^= missing
+        while missing:
+            low = missing & -missing
+            values[low.bit_length() - 1] = length + 1
+            missing ^= low
+    return LocalExponentTable(n, tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n)))

@@ -209,8 +209,8 @@ def test_criterion_11_conductor_formulas():
                     assert not representable(c - 1, gens)
                 assert all(representable(x, gens) for x in range(c, c + max(gens) + 1))
                 progressions += 1
-    report(11, f"pair and progression formulas match the sieve "
-               f"({pairs} pairs, {progressions} progressions), windows certified")
+    report(11, f"pair and progression formulas match conductor() "
+               f"({pairs} pairs, {progressions} progressions), windows certified by the sieve")
 
 
 def test_criterion_12_smallest_cycle_two_bounds(census_cache):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from companion_exponents import formulas
+from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
 
 
@@ -142,6 +143,17 @@ class TestFrobenius:
         code, _, err = run(capsys, "frobenius", "4", "6")
         assert code == 2
         assert "gcd" in err
+
+    def test_large_pair_is_fast(self, capsys):
+        code, out, _ = run(capsys, "frobenius", "30000", "30001")
+        assert code == 0
+        assert out == "conductor=899970000 classical_frobenius=899969999\n"
+
+    def test_over_the_limit_exit_two(self, capsys):
+        code, out, err = run(capsys, "frobenius", str(MAX_CONDUCTOR_WORK), str(MAX_CONDUCTOR_WORK + 1))
+        assert code == 2
+        assert out == ""
+        assert str(MAX_CONDUCTOR_WORK) in err
 
 
 class TestStrings:

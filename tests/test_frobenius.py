@@ -1,9 +1,9 @@
-"""Conductor computations: sieve, pair formula, progression formula."""
+"""Conductor computations: residue shortest paths, sieve, pair and progression formulas."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from companion_exponents import (
@@ -14,6 +14,8 @@ from companion_exponents import (
     progression_conductor,
     representable,
 )
+from companion_exponents import frobenius
+from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from helpers import coefficient_search_representable, scan_conductor
 
 coprime_sets = (
@@ -76,6 +78,12 @@ class TestPairConductor:
         for a, b in [(2, 3), (3, 4), (4, 9), (5, 7), (11, 13)]:
             assert pair_conductor(a, b) == conductor((a, b))
 
+    @given(st.integers(2, 10_000), st.integers(2, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_residue_paths(self, a, b):
+        assume(math.gcd(a, b) == 1)
+        assert pair_conductor(a, b) == conductor((a, b))
+
 
 class TestProgressionConductor:
     def test_examples(self):
@@ -112,6 +120,17 @@ class TestConductor:
             conductor((4, 6))
         with pytest.raises(NotCoprimeError):
             conductor((2,))
+
+    def test_work_limit(self, monkeypatch):
+        a = MAX_CONDUCTOR_WORK // 2
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
+            conductor((a + 1, a + 2))
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
+            conductor((a, a + 1, a + 2))
+        monkeypatch.setattr(frobenius, "MAX_CONDUCTOR_WORK", 20)
+        assert conductor((10, 11)) == 90
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
+            conductor((11, 12))
 
     @given(coprime_sets)
     @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """Boolean powering oracle: products, exponents, local exponents, traces."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from companion_exponents import (
@@ -12,6 +12,7 @@ from companion_exponents import (
     PowerTrace,
     bool_product,
     companion_matrix,
+    has_positive_power,
     is_primitive,
     local_exponent,
     local_exponent_table,
@@ -19,16 +20,50 @@ from companion_exponents import (
     row_exponent,
     wielandt_bound,
 )
-from helpers import irreducible_rows, naive_bool_product, walk_exists
+from helpers import irreducible_rows, naive_bool_product, stabilization_point, walk_exists
 
 
-matrices = st.integers(2, 6).flatmap(
+matrices = st.integers(1, 16).flatmap(
     lambda n: st.builds(
         BoolMatrix,
         st.just(n),
         st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n).map(tuple),
     )
 )
+
+
+@st.composite
+def general_matrices(draw, max_order):
+    """Random matrices of order 1..max_order, often on a random n-cycle.
+
+    Each row ANDs 1-4 random masks; half the time the edges of a random
+    Hamiltonian cycle are added.  That mixes dense matrices, sparse
+    strongly connected ones with long exponents, and imprimitive or
+    reducible ones.
+    """
+    n = draw(st.integers(1, max_order))
+    masks = st.integers(0, (1 << n) - 1)
+    thin = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        row = (1 << n) - 1
+        for _ in range(thin):
+            row &= draw(masks)
+        rows.append(row)
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        for a, b in zip(order, order[1:] + order[:1]):
+            rows[a] |= 1 << b
+    return BoolMatrix(n, tuple(rows))
+
+
+def naive_powers(m):
+    """m**1 .. m**bound as nested lists, by repeated triple-loop products."""
+    entries = m.to_lists()
+    out = [entries]
+    for _ in range(wielandt_bound(m.n) - 1):
+        out.append(naive_bool_product(out[-1], entries))
+    return out
 
 
 class TestBoolProduct:
@@ -78,6 +113,47 @@ class TestExponent:
     def test_reducible_raises(self):
         with pytest.raises(NotPrimitiveError):
             oracle_exponent(companion_matrix(CompanionSpec(8, "01111111")))
+
+
+class TestGeneralMatrices:
+    """The packed kernel against triple-loop products and frontier walks."""
+
+    @given(general_matrices(8))
+    @settings(deadline=None)
+    def test_exponent_matches_naive_powers(self, m):
+        positive = [k for k, p in enumerate(naive_powers(m), 1) if all(map(all, p))]
+        assert has_positive_power(m) == bool(positive)
+        if positive:
+            assert oracle_exponent(m) == positive[0]
+        else:
+            with pytest.raises(NotPrimitiveError):
+                oracle_exponent(m)
+
+    @given(general_matrices(8))
+    @settings(deadline=None)
+    def test_power_trace_matches_naive_powers(self, m):
+        trace = PowerTrace.compute(m)
+        expected = naive_powers(m)
+        assert len(trace.powers) == len(expected)
+        assert all(trace.power(k).to_lists() == p for k, p in enumerate(expected, 1))
+
+    @given(general_matrices(6))
+    @settings(max_examples=60, deadline=None)
+    def test_local_exponents_match_frontier_walks(self, m):
+        n = m.n
+        entries = m.to_lists()
+        bound = wielandt_bound(n)
+        if not all(walk_exists(entries, i, j, bound) for i in range(1, n + 1) for j in range(1, n + 1)):
+            with pytest.raises(NotPrimitiveError):
+                local_exponent_table(m)
+            with pytest.raises(NotPrimitiveError):
+                row_exponent(m, 1)
+            return
+        table = local_exponent_table(m)
+        for i in range(1, n + 1):
+            expected = [stabilization_point(entries, i, j, bound) for j in range(1, n + 1)]
+            assert list(table.values[i - 1]) == expected
+            assert row_exponent(m, i) == max(expected)
 
 
 class TestLocalExponent:
