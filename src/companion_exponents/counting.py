@@ -141,15 +141,12 @@ def f_strings(n: int, x: int, k: int) -> int:
 
 
 def _runs_avoiding(r: int, n: int) -> int:
+    if r > n:
+        return 1 << n  # no string that short holds r ones in a row
     # counts[c] = strings seen so far that end in exactly c ones, c < r
     counts = [1] + [0] * (r - 1)
     for _ in range(n):
-        total = sum(counts)
-        nxt = [0] * r
-        nxt[0] = total
-        for c in range(1, r):
-            nxt[c] = counts[c - 1]
-        counts = nxt
+        counts = [sum(counts)] + counts[:-1]
     return sum(counts)
 
 

@@ -11,6 +11,13 @@ Throughout, `zeros`/`support` split the vertices 1..n by the last row
 whole window [j - l + 1, j] sits inside the support, l being the smallest
 cycle length; walks from vertex 1 then hit j at every length >= n, which
 pins the local exponent exp(1 -> j) to n.
+
+Every rule reads one private facts object, built once per spec by
+`exponent` or by a public rule called on its own: the sorted cycle
+lengths, the longest zero run and two masks with vertex i at bit i - 1,
+`support` and `special` = AND_{t<l} (support << t); windows sticking out
+past vertex 1 meet the zero bits shifted in.  Rules that need the
+conductor of the cycle lengths compute it.
 """
 
 from __future__ import annotations
@@ -26,8 +33,6 @@ from .core import (
     cycle_lengths,
     is_irreducible,
     is_primitive,
-    longest_run,
-    vertex_partition,
 )
 from .frobenius import conductor
 from .oracle import NotPrimitiveError
@@ -77,32 +82,46 @@ class LocalExpQuery:
     offset: int
 
 
-def _not_primitive_message(spec: CompanionSpec) -> str:
-    if not is_irreducible(spec):
-        return "reducible: last row starts with 0"
-    lengths = cycle_lengths(spec)
-    g = math.gcd(*lengths)
-    listed = ", ".join(str(l) for l in lengths)
-    return f"imprimitive: gcd(L)={g} cycle lengths {{{listed}}}"
-
-
 def require_primitive(spec: CompanionSpec) -> None:
     """Raise NotPrimitiveError naming the gcd and cycle lengths when not primitive."""
-    if not is_primitive(spec):
-        raise NotPrimitiveError(_not_primitive_message(spec))
+    if is_primitive(spec):
+        return
+    if not is_irreducible(spec):
+        raise NotPrimitiveError("reducible: last row starts with 0")
+    lengths = cycle_lengths(spec)
+    listed = ", ".join(str(l) for l in lengths)
+    raise NotPrimitiveError(f"imprimitive: gcd(L)={math.gcd(*lengths)} cycle lengths {{{listed}}}")
 
 
-def _primitive_parts(spec: CompanionSpec):
-    if not is_primitive(spec):
-        raise PreconditionError("spec is not primitive")
-    return vertex_partition(spec), cycle_lengths(spec)
+@dataclass(frozen=True)
+class _SpecFacts:
+    """What the rules read off one primitive spec (see the module docstring)."""
+
+    n: int
+    support: int
+    lengths: tuple[int, ...]
+    longest_zero_run: int
+    special: int
+
+    @classmethod
+    def of(cls, spec: CompanionSpec) -> _SpecFacts:
+        bits, lengths = spec.row_string, cycle_lengths(spec)
+        support = int(bits[::-1], 2)
+        special = support
+        for t in range(1, lengths[0]):
+            special &= support << t
+        return cls(spec.n, support, lengths, max(map(len, bits.split("1"))), special)
 
 
-def _zero_trace_parts(spec: CompanionSpec):
-    part, lengths = _primitive_parts(spec)
-    if spec.row[-1] != 0:
+def _facts(spec: CompanionSpec | _SpecFacts, zero_trace: bool = False) -> _SpecFacts:
+    """Facts of `spec`; PreconditionError unless primitive (and, with zero_trace, loop-free at n)."""
+    if not isinstance(spec, _SpecFacts):
+        if not is_primitive(spec):
+            raise PreconditionError("spec is not primitive")
+        spec = _SpecFacts.of(spec)
+    if zero_trace and spec.support >> (spec.n - 1):
         raise PreconditionError("rule needs zero trace (last row bit n must be 0)")
-    return part, lengths
+    return spec
 
 
 def positive_trace_exponent(spec: CompanionSpec) -> ExponentReport:
@@ -111,22 +130,22 @@ def positive_trace_exponent(spec: CompanionSpec) -> ExponentReport:
     The loop lets walks idle at n, so only the forced march through the
     longest block of zero vertices delays full positivity.
     """
-    part, _ = _primitive_parts(spec)
-    if spec.row[-1] != 1:
+    f = _facts(spec)
+    if not f.support >> (f.n - 1):
         raise PreconditionError("positive-trace rule needs a loop at vertex n (last bit 1)")
-    run = longest_run(part.zeros)
-    return ExponentReport(spec.n + run, RULE_POSITIVE_TRACE, {"longest_zero_run": run})
+    run = f.longest_zero_run
+    return ExponentReport(f.n + run, RULE_POSITIVE_TRACE, {"longest_zero_run": run})
 
 
 def two_cycle_exponent(spec: CompanionSpec) -> ExponentReport:
     """Exponent n + s(n-2) when the digraph has exactly two cycle lengths, n and s >= 2."""
-    _, lengths = _primitive_parts(spec)
-    if spec.n < 3 or len(lengths) != 2:
+    f = _facts(spec)
+    if f.n < 3 or len(f.lengths) != 2:
         raise PreconditionError("two-cycle rule needs n >= 3 and exactly two cycle lengths")
-    s = lengths[0]
+    s = f.lengths[0]
     if s < 2:
         raise PreconditionError("short cycle of length 1 is the positive-trace case")
-    return ExponentReport(spec.n + s * (spec.n - 2), RULE_TWO_CYCLES, {"short_cycle": s})
+    return ExponentReport(f.n + s * (f.n - 2), RULE_TWO_CYCLES, {"short_cycle": s})
 
 
 def origin_local_exponent(spec: CompanionSpec) -> int:
@@ -136,8 +155,8 @@ def origin_local_exponent(spec: CompanionSpec) -> int:
     nonnegative combination of the cycle lengths, so the lengths fill up
     exactly from n + conductor onward.
     """
-    _, lengths = _zero_trace_parts(spec)
-    return spec.n + conductor(lengths)
+    f = _facts(spec, zero_trace=True)
+    return f.n + conductor(f.lengths)
 
 
 def reduce_to_support(spec: CompanionSpec, j: int) -> LocalExpQuery:
@@ -147,10 +166,10 @@ def reduce_to_support(spec: CompanionSpec, j: int) -> LocalExpQuery:
     so every walk into j passes the anchor support vertex exactly
     `offset` steps earlier: exp(1 -> j) = exp(1 -> j - offset) + offset.
     """
-    part, _ = _zero_trace_parts(spec)
-    if not 1 <= j <= spec.n or j not in part.zeros:
+    f = _facts(spec, zero_trace=True)
+    if not 1 <= j <= f.n or f.support >> (j - 1) & 1:
         raise PreconditionError(f"vertex {j} is not a zero vertex of the row")
-    anchor = max(v for v in part.support if v <= j)
+    anchor = (f.support & ((1 << j) - 1)).bit_length()
     return LocalExpQuery(target=j, offset=j - anchor)
 
 
@@ -160,13 +179,10 @@ def is_special_vertex(spec: CompanionSpec, j: int) -> bool:
     Special vertices have exp(1 -> j) = n.  Windows that stick out past
     vertex 1 never qualify.
     """
-    part, lengths = _zero_trace_parts(spec)
-    if not 1 <= j <= spec.n:
-        raise PreconditionError(f"vertex {j} out of [1, {spec.n}]")
-    smallest = lengths[0]
-    if j - smallest + 1 < 1:
-        return False
-    return all(v in part.support for v in range(j - smallest + 1, j + 1))
+    f = _facts(spec, zero_trace=True)
+    if not 1 <= j <= f.n:
+        raise PreconditionError(f"vertex {j} out of [1, {f.n}]")
+    return bool(f.special >> (j - 1) & 1)
 
 
 def gap_rule_local_exponent(spec: CompanionSpec, j: int) -> tuple[int, int | None]:
@@ -183,18 +199,19 @@ def gap_rule_local_exponent(spec: CompanionSpec, j: int) -> tuple[int, int | Non
     cycle length, which cannot exist, while the special vertex under the
     gap delivers every length from n + gap + 1 up.
     """
-    part, lengths = _zero_trace_parts(spec)
-    smallest = lengths[0]
-    if not 1 <= j <= spec.n or j not in part.support:
+    f = _facts(spec, zero_trace=True)
+    smallest = f.lengths[0]
+    if not 1 <= j <= f.n or not f.support >> (j - 1) & 1:
         raise PreconditionError(f"vertex {j} is not a support vertex")
     if j < smallest:
         raise PreconditionError(f"rule needs j >= smallest cycle length {smallest}")
-    if is_special_vertex(spec, j):
+    if f.special >> (j - 1) & 1:
         raise PreconditionError(f"vertex {j} is special, its local exponent is n")
-    gap = max(p for p in range(1, smallest) if (j - p) in part.zeros)
-    bound = spec.n + gap
+    # the window ending at j is not all support, so some backstep lands on a zero
+    gap = next(p for p in range(smallest - 1, 0, -1) if not f.support >> (j - p - 1) & 1)
+    bound = f.n + gap
     below = j - gap - 1
-    exact = below >= 1 and below in part.support and is_special_vertex(spec, below)
+    exact = below >= 1 and f.special >> (below - 1) & 1
     return bound, (bound + 1 if exact else None)
 
 
@@ -206,13 +223,14 @@ def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
     exponent n + conductor dominates every support vertex, so adding the
     full run length is exact.
     """
-    part, lengths = _zero_trace_parts(spec)
-    run = longest_run(part.zeros)
-    if not all(v in part.zeros for v in range(2, run + 2)):
+    f = _facts(spec, zero_trace=True)
+    run = f.longest_zero_run
+    prefix = ((1 << run) - 1) << 1
+    if f.support & prefix:
         raise PreconditionError("the zero run starting at vertex 2 must be a longest one")
-    c = conductor(lengths)
+    c = conductor(f.lengths)
     return ExponentReport(
-        spec.n + c + run,
+        f.n + c + run,
         RULE_BLOCK_V1_PREFIX,
         {"conductor": c, "longest_zero_run": run},
     )
@@ -227,30 +245,23 @@ def smallest_cycle_two_exponent(spec: CompanionSpec) -> ExponentReport:
     when no such backstep exists.  Zero vertices reduce to the support
     vertex below; the exponent is the maximum over all vertices.
     """
-    part, lengths = _zero_trace_parts(spec)
-    if spec.n < 4:
+    f = _facts(spec, zero_trace=True)
+    n = f.n
+    if n < 4:
         raise PreconditionError("rule needs n >= 4")
-    if lengths[0] != 2:
+    if f.lengths[0] != 2:
         raise PreconditionError("rule needs smallest cycle length 2")
     # An odd length exists: all-even cycle lengths would force gcd >= 2.
-    s = min(l for l in lengths if l % 2)
-
-    def local(j: int) -> int:
-        if is_special_vertex(spec, j):
-            return spec.n
-        for p in range(1, s, 2):
-            if (j - p) in part.support:
-                return spec.n + p - 1
-        return spec.n + s - 1
-
-    best = 0
-    for j in range(1, spec.n + 1):
-        if j in part.support:
-            value = local(j)
-        else:
-            query = reduce_to_support(spec, j)
-            value = local(j - query.offset) + query.offset
-        best = max(best, value)
+    s = min(l for l in f.lengths if l % 2)
+    best, rest = 0, f.support
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = low.bit_length()
+        odd = (n + p - 1 for p in range(1, min(s, j), 2) if f.support >> (j - p - 1) & 1)
+        local = n if f.special & low else next(odd, n + s - 1)
+        # zero vertices up to the next support vertex (or n) reduce to j
+        best = max(best, local + ((rest & -rest).bit_length() or n + 1) - j - 1)
     return ExponentReport(best, RULE_SMALLEST_CYCLE_2, {"smallest_odd_cycle": s})
 
 
@@ -270,9 +281,10 @@ def exponent(spec: CompanionSpec, allow_oracle: bool = True) -> ExponentReport:
     allow_oracle=False the fallback raises PreconditionError instead.
     """
     require_primitive(spec)
+    facts = _SpecFacts.of(spec)
     for rule in _RULE_ORDER:
         try:
-            return rule(spec)
+            return rule(facts)
         except PreconditionError:
             continue
     if not allow_oracle:

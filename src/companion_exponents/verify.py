@@ -31,22 +31,14 @@ class CheckResult:
     detail: str
 
 
-def _irreducible_specs(n: int):
-    width = n - 1
-    for y in range(1 << width):
-        yield CompanionSpec(n, "1" + format(y, f"0{width}b"))
+_Specs = dict[int, tuple[CompanionSpec, ...]]
 
 
-def _primitive_specs(n: int):
-    for spec in _irreducible_specs(n):
-        if is_primitive(spec):
-            yield spec
-
-
-def _check_cycle_structure(n_max: int) -> CheckResult:
+def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
+    n_max = max(irreducible)
     checked = 0
-    for n in range(3, n_max + 1):
-        for spec in _irreducible_specs(n):
+    for n, specs in irreducible.items():
+        for spec in specs:
             lengths = cycle_lengths(spec)
             part = vertex_partition(spec)
             if len(lengths) != len(part.support) or max(lengths) != n:
@@ -54,14 +46,10 @@ def _check_cycle_structure(n_max: int) -> CheckResult:
             checked += 1
     # walk counter: entry (i, j) of the k-th power == an i -> j walk of length k
     for n in range(3, min(n_max, 6) + 1):
-        for spec in _irreducible_specs(n):
+        for spec in irreducible[n]:
             m = companion_matrix(spec)
             trace = oracle.PowerTrace.compute(m)
-            adj = [set() for _ in range(n + 1)]
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if m.entry(i, j):
-                        adj[i].add(j)
+            adj = [set()] + [{j for j in range(1, n + 1) if m.entry(i, j)} for i in range(1, n + 1)]
             for i in range(1, n + 1):
                 frontier = {i}
                 for k in range(1, wielandt_bound(n) + 1):
@@ -75,24 +63,23 @@ def _check_cycle_structure(n_max: int) -> CheckResult:
     return CheckResult("cycle-structure", True, f"{checked} specs, walk counter to order {min(n_max, 6)}")
 
 
-def _check_primitivity(n_max: int) -> CheckResult:
+def _check_primitivity(irreducible: _Specs, primitive: _Specs) -> CheckResult:
+    by_gcd = set().union(*primitive.values())
     checked = 0
-    for n in range(3, n_max + 1):
-        for spec in _irreducible_specs(n):
-            by_gcd = is_primitive(spec)
-            by_power = oracle.has_positive_power(companion_matrix(spec))
-            if by_gcd != by_power:
+    for specs in irreducible.values():
+        for spec in specs:
+            if (spec in by_gcd) != oracle.has_positive_power(companion_matrix(spec)):
                 return CheckResult(
                     "primitivity", False,
                     f"gcd test and power test disagree on {spec.n} {spec.row_string}")
             checked += 1
-    return CheckResult("primitivity", True, f"{checked} irreducible specs to order {n_max}")
+    return CheckResult("primitivity", True, f"{checked} irreducible specs to order {max(irreducible)}")
 
 
-def _check_local_exponent_maxima(n_max: int) -> CheckResult:
+def _check_local_exponent_maxima(primitive: _Specs) -> CheckResult:
     checked = 0
-    for n in range(3, n_max + 1):
-        for spec in _primitive_specs(n):
+    for n, specs in primitive.items():
+        for spec in specs:
             m = companion_matrix(spec)
             table = oracle.local_exponent_table(m)
             overall = oracle.exponent(m)
@@ -103,13 +90,13 @@ def _check_local_exponent_maxima(n_max: int) -> CheckResult:
                     "local-exponent-maxima", False,
                     f"{spec.n} {spec.row_string}: exp={overall} max_local={max_local} max_row={max_row}")
             checked += 1
-    return CheckResult("local-exponent-maxima", True, f"{checked} primitive specs to order {n_max}")
+    return CheckResult("local-exponent-maxima", True, f"{checked} primitive specs to order {max(primitive)}")
 
 
-def _check_dispatch(n_max: int) -> CheckResult:
+def _check_dispatch(primitive: _Specs) -> CheckResult:
     checked = 0
-    for n in range(3, n_max + 1):
-        for spec in _primitive_specs(n):
+    for specs in primitive.values():
+        for spec in specs:
             report = formulas.exponent(spec)
             true_exp = oracle.exponent(companion_matrix(spec))
             if report.value != true_exp:
@@ -117,7 +104,7 @@ def _check_dispatch(n_max: int) -> CheckResult:
                     "dispatch-soundness", False,
                     f"{spec.n} {spec.row_string}: rule {report.rule} gave {report.value}, oracle {true_exp}")
             checked += 1
-    return CheckResult("dispatch-soundness", True, f"{checked} primitive specs to order {n_max}")
+    return CheckResult("dispatch-soundness", True, f"{checked} primitive specs to order {max(primitive)}")
 
 
 def _check_range_uniqueness(n_max: int) -> CheckResult:
@@ -162,10 +149,10 @@ def _check_conductors() -> CheckResult:
     return CheckResult("conductors", True, f"{pairs} pairs, {progressions} progressions, windows")
 
 
-def _check_counting(n_max: int) -> CheckResult:
-    for n in range(3, n_max + 1):
-        enumerated = sum(1 for spec in _irreducible_specs(n) if not is_primitive(spec))
-        if counting.count_imprimitive(n) != enumerated:
+def _check_counting(irreducible: _Specs, primitive: _Specs) -> CheckResult:
+    n_max = max(irreducible)
+    for n, specs in irreducible.items():
+        if counting.count_imprimitive(n) != len(specs) - len(primitive[n]):
             return CheckResult("counting", False, f"imprimitive count off at order {n}")
     for n in range(0, min(n_max, 10) + 1):
         table = counting.string_count_table(n)
@@ -181,7 +168,7 @@ def _check_counting(n_max: int) -> CheckResult:
                 return CheckResult("counting", False, f"run-avoidance count off at r={r}, n={n}")
     for n in range(3, min(n_max, 10) + 1):
         actual: dict[int, int] = {}
-        for spec in _primitive_specs(n):
+        for spec in primitive[n]:
             if spec.row[-1] == 1:
                 value = formulas.exponent(spec).value
                 actual[value] = actual.get(value, 0) + 1
@@ -191,15 +178,16 @@ def _check_counting(n_max: int) -> CheckResult:
     return CheckResult("counting", True, f"orders 3..{n_max}")
 
 
-def _check_membership(n_max: int) -> CheckResult:
-    for n in range(3, n_max + 1):
-        record = counting.census(n)
+def _check_membership(primitive: _Specs) -> CheckResult:
+    n_max = max(primitive)
+    records = {n: counting.census(n) for n in range(3, n_max + 1)}
+    for n, record in records.items():
         missing = [t for t in range(n, 2 * (n - 1) + 1) if t not in record.histogram]
         if missing:
             return CheckResult("membership", False, f"[{n}, {2 * (n - 1)}] not covered at order {n}: {missing}")
     for n in range(4, n_max + 1):
         top = 3 * n - 4 if n % 2 else 2 * n - 2
-        for spec in _primitive_specs(n):
+        for spec in primitive[n]:
             if spec.row[-1] != 0 or cycle_lengths(spec)[0] != 2:
                 continue
             value = formulas.exponent(spec).value
@@ -208,13 +196,12 @@ def _check_membership(n_max: int) -> CheckResult:
                     "membership", False,
                     f"smallest-cycle-2 exponent {value} outside [{n}, {top}] at {spec.row_string}")
         if n % 2:
-            record = counting.census(n)
             for x in range((n - 3) // 2 + 1):
-                if 2 * n - 1 + 2 * x not in record.histogram:
+                if 2 * n - 1 + 2 * x not in records[n].histogram:
                     return CheckResult("membership", False, f"{2 * n - 1 + 2 * x} missing from order {n}")
     for n in range(5, n_max + 1):
         enumerated = 0
-        for spec in _primitive_specs(n):
+        for spec in primitive[n]:
             if spec.row[-1] != 0:
                 continue
             part = vertex_partition(spec)
@@ -227,16 +214,20 @@ def _check_membership(n_max: int) -> CheckResult:
 
 
 def run_all(n_max: int) -> list[CheckResult]:
-    """Run every family up to the requested order (3 <= n_max <= 12)."""
+    """Run every family up to the requested order (3 <= n_max <= 12), all of
+    them on one enumeration of each order's irreducible and primitive specs."""
     if not 3 <= n_max <= 12:
         raise ValueError(f"n-max must be in [3, 12], got {n_max}")
+    irreducible = {n: tuple(CompanionSpec(n, "1" + format(y, f"0{n - 1}b")) for y in range(1 << (n - 1)))
+                   for n in range(3, n_max + 1)}
+    primitive = {n: tuple(filter(is_primitive, specs)) for n, specs in irreducible.items()}
     return [
-        _check_cycle_structure(n_max),
-        _check_primitivity(n_max),
-        _check_local_exponent_maxima(min(n_max, 8)),
-        _check_dispatch(n_max),
+        _check_cycle_structure(irreducible),
+        _check_primitivity(irreducible, primitive),
+        _check_local_exponent_maxima({n: primitive[n] for n in range(3, min(n_max, 8) + 1)}),
+        _check_dispatch(primitive),
         _check_range_uniqueness(n_max),
         _check_conductors(),
-        _check_counting(n_max),
-        _check_membership(n_max),
+        _check_counting(irreducible, primitive),
+        _check_membership(primitive),
     ]

@@ -103,3 +103,52 @@ def irreducible_rows(n: int):
 def binary_strings(n: int):
     for v in range(1 << n):
         yield format(v, f"0{n}b") if n else ""
+
+
+def row_support(row: str) -> set[int]:
+    """1-based columns holding a 1."""
+    return {i for i, bit in enumerate(row, 1) if bit == "1"}
+
+
+def smallest_cycle(row: str) -> int:
+    """Smallest cycle length n - i + 1 over the support columns i."""
+    return len(row) - max(row_support(row)) + 1
+
+
+def special_vertex(row: str, j: int) -> bool:
+    """Set-based check that the smallest-cycle window ending at j lies in the support."""
+    low = j - smallest_cycle(row) + 1
+    return low >= 1 and all(v in row_support(row) for v in range(low, j + 1))
+
+
+def support_offset(row: str, j: int) -> int:
+    """Steps from zero vertex j back to the nearest support vertex below it."""
+    return j - max(v for v in row_support(row) if v <= j)
+
+
+def gap_rule(row: str, j: int) -> tuple[int, int | None]:
+    """Gap bound and pinned value at a non-special support vertex j >= smallest cycle length."""
+    n, support = len(row), row_support(row)
+    gap = max(p for p in range(1, smallest_cycle(row)) if j - p not in support)
+    below = j - gap - 1
+    exact = below >= 1 and below in support and special_vertex(row, below)
+    return n + gap, (n + gap + 1 if exact else None)
+
+
+def smallest_cycle_two_value(row: str) -> int:
+    """Vertex-by-vertex maximum of the smallest-cycle-2 local exponents from vertex 1."""
+    n, support = len(row), row_support(row)
+    s = min(n - i + 1 for i in support if (n - i + 1) % 2)
+
+    def local(j: int) -> int:
+        if special_vertex(row, j):
+            return n
+        for p in range(1, s, 2):
+            if j - p in support:
+                return n + p - 1
+        return n + s - 1
+
+    return max(
+        local(j) if j in support else local(j - support_offset(row, j)) + support_offset(row, j)
+        for j in range(1, n + 1)
+    )

@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from companion_exponents import formulas
+from companion_exponents import CompanionSpec, companion_matrix, formulas, oracle, verify
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
 
@@ -163,6 +164,9 @@ class TestStrings:
     def test_run_avoidance_counts(self, capsys):
         assert run(capsys, "strings", "t", "2", "3") == (0, "5\n", "")
 
+    def test_run_longer_than_strings(self, capsys):
+        assert run(capsys, "strings", "t", "1000000000", "5") == (0, "32\n", "")
+
     def test_wrong_arity(self, capsys):
         code, _, _ = run(capsys, "strings", "f", "6", "4")
         assert code == 2
@@ -181,6 +185,48 @@ class TestVerify:
     def test_rejects_large_order(self, capsys):
         code, _, _ = run(capsys, "verify", "--n-max", "13")
         assert code == 2
+
+    @staticmethod
+    def failed_families(out):
+        lines = out.strip().splitlines()
+        assert len(lines) == 8
+        return [line for line in lines if not line.startswith("PASS ")]
+
+    def test_dispatch_failure_exit_four(self, capsys, monkeypatch):
+        real = formulas.exponent
+
+        def off_by_one(spec, allow_oracle=True):
+            report = real(spec, allow_oracle)
+            if (spec.n, spec.row_string) != (6, "101100"):
+                return report
+            return dataclasses.replace(report, value=report.value + 1)
+
+        monkeypatch.setattr(formulas, "exponent", off_by_one)
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 4
+        assert self.failed_families(out) == [
+            "FAIL dispatch-soundness: 6 101100: rule ORACLE gave 14, oracle 13"]
+
+    def test_primitivity_failure_exit_four(self, capsys, monkeypatch):
+        real = oracle.has_positive_power
+        imprimitive = companion_matrix(CompanionSpec(6, "100100"))
+        monkeypatch.setattr(oracle, "has_positive_power", lambda m: real(m) != (m == imprimitive))
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 4
+        assert self.failed_families(out) == [
+            "FAIL primitivity: gcd test and power test disagree on 6 100100"]
+
+    def test_specs_enumerated_once_per_order(self, monkeypatch):
+        calls = Counter()
+        real = verify.is_primitive
+
+        def counted(spec):
+            calls[spec.n] += 1
+            return real(spec)
+
+        monkeypatch.setattr(verify, "is_primitive", counted)
+        assert all(result.passed for result in verify.run_all(11))
+        assert calls == {n: 1 << (n - 1) for n in range(3, 12)}
 
 
 class TestParser:

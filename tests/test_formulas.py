@@ -1,8 +1,11 @@
 """Closed-form exponent rules and the dispatcher, checked against the oracle."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from companion_exponents import (
     CompanionSpec,
@@ -36,9 +39,29 @@ from companion_exponents.formulas import (
     ExponentReport,
     block_prefix_exponent,
 )
+import helpers
 from helpers import irreducible_rows
 
 WIDE_SPEC = CompanionSpec(16, "1101100100010010")
+
+# SHA-256 of report_line() over every primitive spec of each order, in
+# row order, generated with the earlier set-based rules.
+REPORT_DIGESTS = {
+    3: "b9bafb0d297e86ccf1d019aa3b7890eac8a8eae3e486418b641637c9ebdef86d",
+    4: "6a0eb3df8ffe5436773d597d65b50996679f1eec44494f1ab4f2a762ac585fb2",
+    5: "0e9450b9ff51cb3527c27c20b4d448363dcd2ce7ef42952dd2cb8e754040355e",
+    6: "85f41bf9f750c4c4ab37923bebf8ad78af1b24d36ddea7fcbbf8200827fa6972",
+    7: "94b9d3326a91c10b83c1d545fba9ec1b75cb08a054d952e89cb7483576cd5668",
+    8: "08b14ebb4051f73b9e4a7916e804e6abecfc170f59500928236c659ff09aed27",
+    9: "daeb6f00e68f4c50ad1161cd3c3ac0dcaac4986b4695f6c659a064df5fe2e162",
+    10: "3dc4aabdaa1048cabea4810cd97c3590d0095c84665ac9a70f731bf2cd59e22c",
+    11: "e4e161dd3f545842aefc74e98731402c116de2d7936f1dad5d9f39cff64d023a",
+    12: "4739e528b465b69d9d864892bb69885983a0f479dac46e3246ebee805f96d5dd",
+    13: "a9b46212198b5924d7f0e696e1b1ec2422588473f90c861bb0e0927bcc89106b",
+    14: "3ea71371add3812bc9a1edc443b0b48ab005832d494ebdd87299e0f5fa441e3f",
+}
+# The same over 60 seeded random irreducible rows per order 15..64, rules only.
+SAMPLED_REPORT_DIGEST = "268eed384cd363502fddb53ba361f989f35c975b6d0396c26f6218ae6372cec4"
 
 
 def primitive_specs(n):
@@ -46,6 +69,80 @@ def primitive_specs(n):
         spec = CompanionSpec(n, row)
         if is_primitive(spec):
             yield spec
+
+
+def report_line(spec, allow_oracle=True):
+    try:
+        report = exponent(spec, allow_oracle=allow_oracle)
+    except (PreconditionError, NotPrimitiveError) as exc:
+        return f"{spec.n} {spec.row_string} {type(exc).__name__}\n"
+    detail = sorted((report.detail or {}).items())
+    return f"{spec.n} {spec.row_string} {report.value} {report.rule} {detail}\n"
+
+
+@st.composite
+def zero_trace_primitive_specs(draw, max_n=24):
+    n = draw(st.integers(4, max_n))
+    middle = draw(st.integers(0, (1 << (n - 2)) - 1))
+    spec = CompanionSpec(n, "1" + format(middle, f"0{n - 2}b") + "0")
+    if not is_primitive(spec):
+        # force a cycle of length n - 1, coprime to the length-n cycle
+        spec = CompanionSpec(n, "11" + spec.row_string[2:])
+    return spec
+
+
+class TestReportsPinned:
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_every_primitive_spec(self, n):
+        digest = hashlib.sha256()
+        for spec in primitive_specs(n):
+            digest.update(report_line(spec).encode())
+        assert digest.hexdigest() == REPORT_DIGESTS[n]
+
+    def test_sampled_large_orders(self):
+        rng = random.Random(20261018)
+        digest = hashlib.sha256()
+        for n in range(15, 65):
+            for _ in range(60):
+                spec = CompanionSpec(n, "1" + format(rng.getrandbits(n - 1), f"0{n - 1}b"))
+                digest.update(report_line(spec, allow_oracle=False).encode())
+        assert digest.hexdigest() == SAMPLED_REPORT_DIGEST
+
+
+class TestBitmaskVertexRules:
+    """The mask-based vertex rules against the set-based ones in helpers, at every vertex."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_trace_primitive_specs())
+    def test_matches_set_based_rules(self, spec):
+        row, n = spec.row_string, spec.n
+        smallest = helpers.smallest_cycle(row)
+        for j in range(1, n + 1):
+            special = helpers.special_vertex(row, j)
+            assert is_special_vertex(spec, j) == special
+            if row[j - 1] == "0":
+                assert reduce_to_support(spec, j).offset == helpers.support_offset(row, j)
+                with pytest.raises(PreconditionError):
+                    gap_rule_local_exponent(spec, j)
+            elif j < smallest or special:
+                with pytest.raises(PreconditionError):
+                    gap_rule_local_exponent(spec, j)
+            else:
+                assert gap_rule_local_exponent(spec, j) == helpers.gap_rule(row, j)
+            if row[j - 1] == "1":
+                with pytest.raises(PreconditionError):
+                    reduce_to_support(spec, j)
+        if smallest == 2:
+            assert smallest_cycle_two_exponent(spec).value == helpers.smallest_cycle_two_value(row)
+
+    def test_vertex_out_of_range(self):
+        for j in (0, WIDE_SPEC.n + 1):
+            with pytest.raises(PreconditionError):
+                is_special_vertex(WIDE_SPEC, j)
+            with pytest.raises(PreconditionError):
+                reduce_to_support(WIDE_SPEC, j)
+            with pytest.raises(PreconditionError):
+                gap_rule_local_exponent(WIDE_SPEC, j)
 
 
 class TestExponentReport:
