@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,10 +23,12 @@ from .core import CompanionSpec, companion_matrix, wielandt_bound
 from .frobenius import conductor
 
 MAX_CENSUS_ORDER = 20
+MAX_STRING_TABLE_LENGTH = 76  # longest length for f_strings: the table takes about 1 s
+MAX_RUN_AVOIDING_LENGTH = 14_000  # longest length for t_runs: 2**n has at most 4300 digits
 
 
 class DispatchMismatchError(AssertionError):
-    """The rule dispatcher and the powering oracle disagreed on some spec."""
+    """The walk, the closed-form rules and the powering oracle disagreed on some spec."""
 
 
 def _distinct_prime_factors(n: int) -> list[int]:
@@ -113,6 +116,8 @@ def string_count_table(n: int) -> StringCountTable:
     The scan state is (zeros so far, current zero run, best run so far);
     appending a 1 resets the run, appending a 0 extends it.
     """
+    if n > MAX_STRING_TABLE_LENGTH:
+        raise ValueError(f"length {n} above MAX_STRING_TABLE_LENGTH = {MAX_STRING_TABLE_LENGTH}")
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     states: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
@@ -133,25 +138,29 @@ def string_count_table(n: int) -> StringCountTable:
 def f_strings(n: int, x: int, k: int) -> int:
     """Number of length-n binary strings with x zeros whose longest zero run is exactly k.
 
-    Returns 0 outside 0 <= k <= x <= n and for negative n.
+    Returns 0 outside 0 <= k <= x <= n; raises ValueError for n > MAX_STRING_TABLE_LENGTH.
     """
-    if n < 0 or x < 0 or k < 0 or k > x or x > n:
-        return 0
-    return string_count_table(n).count(x, k)
+    if 0 <= k <= x <= n or n > MAX_STRING_TABLE_LENGTH:
+        return string_count_table(n).count(x, k)
+    return 0
 
 
 def _runs_avoiding(r: int, n: int) -> int:
+    """T(n), the length-n strings with no r ones in a row: T(m) = 2**m for
+    m < r, T(r) = 2**r - 1 and T(m) = 2T(m-1) - T(m-r-1), the subtracted
+    strings being the ones whose first run of r ones is the last r bits."""
     if r > n:
-        return 1 << n  # no string that short holds r ones in a row
-    # counts[c] = strings seen so far that end in exactly c ones, c < r
-    counts = [1] + [0] * (r - 1)
-    for _ in range(n):
-        counts = [sum(counts)] + counts[:-1]
-    return sum(counts)
+        return 1 << n
+    window = deque([1 << m for m in range(r)] + [(1 << r) - 1], maxlen=r + 1)
+    for _ in range(n - r):
+        window.append(2 * window[-1] - window[0])
+    return window[-1]
 
 
 def t_runs(r: int, n: int) -> int:
     """Number of length-n binary strings containing no run of r consecutive ones (r >= 2)."""
+    if n > MAX_RUN_AVOIDING_LENGTH:
+        raise ValueError(f"length {n} above MAX_RUN_AVOIDING_LENGTH = {MAX_RUN_AVOIDING_LENGTH}")
     if r < 2:
         raise ValueError(f"run length must be >= 2, got {r}")
     if n < 0:
@@ -315,10 +324,10 @@ def census(n: int, check_oracle: bool = False) -> CensusRecord:
     """Enumerate all 2**(n-1) irreducible specs of order n and aggregate exponents.
 
     The exponents come from one bit-sliced reach-set walk over every row
-    at once.  With check_oracle=True each primitive row is also run
-    through the rule dispatcher and the powering oracle, and
-    DispatchMismatchError is raised unless walk, dispatcher and oracle
-    all agree.
+    at once.  With check_oracle=True each primitive row is also powered
+    once by the oracle and tried on the closed-form rules (no oracle
+    fallback); DispatchMismatchError is raised unless the oracle value and
+    the rule value, where a rule applies, both equal the walk value.
     """
     if not 3 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"order must be in [3, {MAX_CENSUS_ORDER}], got {n}")
@@ -334,12 +343,15 @@ def census(n: int, check_oracle: bool = False) -> CensusRecord:
             y = bits.find("1")
             while y >= 0:
                 spec = CompanionSpec(n, row(y))
-                report = formulas.exponent(spec)
                 true_exp = oracle.exponent(companion_matrix(spec))
-                if not value == report.value == true_exp:
+                try:
+                    report = formulas.exponent(spec, allow_oracle=False)
+                    rule_value, ruled = report.value, f"dispatch rule {report.rule} gave {report.value}"
+                except formulas.PreconditionError:
+                    rule_value, ruled = value, "no closed-form rule applies"
+                if not value == rule_value == true_exp:
                     raise DispatchMismatchError(
-                        f"walk gave {value}, dispatch rule {report.rule} gave {report.value}, "
-                        f"oracle gave {true_exp} for spec {n} {spec.row_string}")
+                        f"walk gave {value}, {ruled}, oracle gave {true_exp} for spec {n} {spec.row_string}")
                 y = bits.find("1", y + 1)
     histogram = {e: mask.bit_count() for e, mask in masks.items()}
     return CensusRecord(

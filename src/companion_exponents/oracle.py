@@ -94,11 +94,6 @@ def has_positive_power(m: BoolMatrix) -> bool:
     return acc == (1 << (n * n)) - 1
 
 
-def _require_primitive(m: BoolMatrix) -> None:
-    if not has_positive_power(m):
-        raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
-
-
 def _check_vertex(m: BoolMatrix, i: int) -> None:
     if not 1 <= i <= m.n:
         raise ValueError(f"vertex {i} out of [1, {m.n}]")
@@ -117,42 +112,31 @@ def exponent(m: BoolMatrix) -> int:
     raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {wielandt_bound(m.n)}")
 
 
-def _row_walks(m: BoolMatrix, i: int) -> list[int]:
-    """Bitmask of vertices reachable from i by a walk of length l, for l = 1..bound."""
-    out = [m.rows[i - 1]]
+def _settles(m: BoolMatrix, i: int, want: int) -> int:
+    """Smallest k such that walks from i of every length >= k reach all of `want`, by
+    a downward scan of the row walk from the Wielandt bound, where primitive input is full."""
+    if not has_positive_power(m):
+        raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
+    walks = [m.rows[i - 1]]
     for _ in range(wielandt_bound(m.n) - 1):
-        out.append(_times(out[-1], m.rows, 1))
-    return out
+        walks.append(_times(walks[-1], m.rows, 1))
+    for length in range(len(walks), 0, -1):
+        if walks[length - 1] & want != want:
+            return length + 1
+    return 1
 
 
 def local_exponent(m: BoolMatrix, i: int, j: int) -> int:
-    """Smallest k such that i -> j walks of every length >= k exist.
-
-    Scans the walk trace downward from the Wielandt bound for the last
-    missing length; positivity at the bound is guaranteed for primitive
-    input, which is what makes the downward scan sound.
-    """
+    """Smallest k such that i -> j walks of every length >= k exist."""
     _check_vertex(m, i)
     _check_vertex(m, j)
-    _require_primitive(m)
-    walks = _row_walks(m, i)
-    bit = 1 << (j - 1)
-    for length in range(len(walks), 0, -1):
-        if not walks[length - 1] & bit:
-            return length + 1
-    return 1
+    return _settles(m, i, 1 << (j - 1))
 
 
 def row_exponent(m: BoolMatrix, i: int) -> int:
     """Smallest k such that row i of m**k (and of every later power) is all-positive."""
     _check_vertex(m, i)
-    _require_primitive(m)
-    walks = _row_walks(m, i)
-    full = (1 << m.n) - 1
-    for length in range(len(walks), 0, -1):
-        if walks[length - 1] != full:
-            return length + 1
-    return 1
+    return _settles(m, i, (1 << m.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -189,13 +173,15 @@ def local_exponent_table(m: BoolMatrix) -> LocalExponentTable:
 
     The powers m**bound .. m**1 are scanned downward; an entry's local
     exponent is one past the first length, from the top, at which it is
-    missing, and `pending` holds the entries not yet seen missing.
+    missing, and `pending` holds the entries not yet seen missing.  The
+    top power doubles as the primitivity test.
     """
-    _require_primitive(m)
     n = m.n
     powers = list(_powers(m))
-    values = [1] * (n * n)
     pending = (1 << (n * n)) - 1
+    if powers[-1] != pending:
+        raise NotPrimitiveError(f"matrix of order {n} is not primitive")
+    values = [1] * (n * n)
     for length in range(len(powers), 0, -1):
         missing = pending & ~powers[length - 1]
         pending ^= missing

@@ -1,14 +1,30 @@
 """CLI surface: output formats, exit codes, file emission."""
 
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
 from companion_exponents import CompanionSpec, companion_matrix, formulas, oracle, verify
+from companion_exponents.counting import MAX_RUN_AVOIDING_LENGTH, MAX_STRING_TABLE_LENGTH
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
+
+# SHA-256 of `verify --n-max n` stdout, taken before dispatch-soundness became
+# a loop over the census check: its PASS lines must not change by a byte.
+VERIFY_STDOUT_DIGESTS = {
+    3: "2c4883de5b6f4fed73132a3046bae27ccb969e67104fd91c3770796c7c9679ef",
+    4: "73c7c64f75bfac1da6ec657842d0d430434c1b0589f3980b40935bc2ad1d3140",
+    5: "7a9f6e5083b3f555b22e5767079e3ef75cd87f53cc2b71729d577e8cc9458bb0",
+    6: "a477b9309f48e3c5646670cf1c2dc8f76d58ef7b84e09c56fb54ad97978ed3bf",
+    7: "bf99e23ee3a4956add54f73f35506fb85fe47f8167d740842ba35744d1b262e7",
+    8: "e63869f9ca7f602cf63bae79a23a59fb91a43fd6175332ad1522b9f3fa3a5f54",
+    9: "fff130f6546a5d3bb7ead85d841c5d972c928d166a50312ebc64c50524e3cc31",
+    10: "a5f74ad7b433b26d0469168e0231105c4f81340119498f174a85d055998783c9",
+    11: "9609328839c76cf402fb80085d128c4dffa1e8add180334fb9f7c2a467714b83",
+}
 
 
 def run(capsys, *argv):
@@ -112,7 +128,8 @@ class TestCensusCommand:
         real = formulas.exponent
         monkeypatch.setattr(
             formulas, "exponent",
-            lambda spec: dataclasses.replace(real(spec), value=real(spec).value + 1))
+            lambda spec, allow_oracle=True: dataclasses.replace(
+                real(spec, allow_oracle), value=real(spec, allow_oracle).value + 1))
         out_path = tmp_path / "c6.csv"
         code, _, err = run(capsys, "census", "6", "--check-oracle", "--out", str(out_path))
         assert code == 4
@@ -167,6 +184,20 @@ class TestStrings:
     def test_run_longer_than_strings(self, capsys):
         assert run(capsys, "strings", "t", "1000000000", "5") == (0, "32\n", "")
 
+    def test_lengths_over_the_caps_exit_two(self, capsys):
+        for argv, cap in ((("t", "2", str(MAX_RUN_AVOIDING_LENGTH + 1)), "MAX_RUN_AVOIDING_LENGTH"),
+                          (("t", str(MAX_RUN_AVOIDING_LENGTH + 2), str(MAX_RUN_AVOIDING_LENGTH + 1)),
+                           "MAX_RUN_AVOIDING_LENGTH"),
+                          (("f", str(MAX_STRING_TABLE_LENGTH + 1), "3", "2"), "MAX_STRING_TABLE_LENGTH")):
+            code, out, err = run(capsys, "strings", *argv)
+            assert (code, out) == (2, "")
+            assert cap in err
+
+    def test_longest_run_avoidance_answer_prints(self, capsys):
+        code, out, _ = run(capsys, "strings", "t", "2", str(MAX_RUN_AVOIDING_LENGTH))
+        assert code == 0
+        assert len(out.strip()) <= 4300
+
     def test_wrong_arity(self, capsys):
         code, _, _ = run(capsys, "strings", "f", "6", "4")
         assert code == 2
@@ -197,7 +228,7 @@ class TestVerify:
 
         def off_by_one(spec, allow_oracle=True):
             report = real(spec, allow_oracle)
-            if (spec.n, spec.row_string) != (6, "101100"):
+            if (spec.n, spec.row_string) != (6, "110000"):
                 return report
             return dataclasses.replace(report, value=report.value + 1)
 
@@ -205,7 +236,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n-max", "6")
         assert code == 4
         assert self.failed_families(out) == [
-            "FAIL dispatch-soundness: 6 101100: rule ORACLE gave 14, oracle 13"]
+            "FAIL dispatch-soundness: walk gave 26, dispatch rule TWO_CYCLES gave 27, "
+            "oracle gave 26 for spec 6 110000"]
+
+    def test_oracle_failure_on_uncovered_row_exit_four(self, capsys, monkeypatch):
+        real = oracle.exponent
+        uncovered = companion_matrix(CompanionSpec(6, "101100"))
+        monkeypatch.setattr(oracle, "exponent", lambda m: real(m) + (m == uncovered))
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 4
+        assert ("FAIL dispatch-soundness: walk gave 13, no closed-form rule applies, "
+                "oracle gave 14 for spec 6 101100") in self.failed_families(out)
+
+    @pytest.mark.parametrize("n_max", sorted(VERIFY_STDOUT_DIGESTS))
+    def test_stdout_pinned(self, capsys, n_max):
+        code, out, _ = run(capsys, "verify", "--n-max", str(n_max))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_DIGESTS[n_max]
 
     def test_primitivity_failure_exit_four(self, capsys, monkeypatch):
         real = oracle.has_positive_power

@@ -29,6 +29,7 @@ from companion_exponents import (
     vertex_partition,
 )
 from companion_exponents import formulas, oracle
+from companion_exponents.counting import MAX_RUN_AVOIDING_LENGTH, MAX_STRING_TABLE_LENGTH
 from helpers import binary_strings, irreducible_rows, longest_zero_run
 
 KNOWN_IMPRIMITIVE_TAILS_8 = {
@@ -138,6 +139,12 @@ class TestStringCounts:
         assert f_strings(6, 0, 0) == 1
         assert f_strings(0, 0, 0) == 1
 
+    def test_length_cap(self):
+        for call in (lambda: string_count_table(MAX_STRING_TABLE_LENGTH + 1),
+                     lambda: f_strings(MAX_STRING_TABLE_LENGTH + 1, 3, 2)):
+            with pytest.raises(ValueError, match="MAX_STRING_TABLE_LENGTH"):
+                call()
+
     def test_out_of_range_zero(self):
         assert f_strings(-1, 0, 0) == 0
         assert f_strings(6, 7, 2) == 0
@@ -183,6 +190,21 @@ class TestRunAvoidance:
             for r in range(2, max(6, n + 3)):
                 brute = sum(1 for s in binary_strings(n) if "1" * r not in s)
                 assert t_runs(r, n) == brute
+
+    def test_matches_trailing_ones_dp(self):
+        # counts[c]: strings so far ending in exactly c ones, c < r
+        for r in range(2, 45):
+            counts = [1] + [0] * (r - 1)
+            for n in range(60):
+                assert t_runs(r, n) == sum(counts)
+                counts = [sum(counts)] + counts[:-1]
+
+    def test_length_cap(self):
+        assert t_runs(2, MAX_RUN_AVOIDING_LENGTH) > 0
+        assert t_runs(MAX_RUN_AVOIDING_LENGTH + 1, MAX_RUN_AVOIDING_LENGTH) == 1 << MAX_RUN_AVOIDING_LENGTH
+        for r in (2, MAX_RUN_AVOIDING_LENGTH + 2):
+            with pytest.raises(ValueError, match="MAX_RUN_AVOIDING_LENGTH"):
+                t_runs(r, MAX_RUN_AVOIDING_LENGTH + 1)
 
 
 class TestPositiveTraceCounts:
@@ -300,17 +322,41 @@ class TestCensus:
 
     def test_check_oracle_mismatch_raises(self, monkeypatch):
         real_rules, real_oracle = formulas.exponent, oracle.exponent
-        monkeypatch.setattr(
-            formulas, "exponent",
-            lambda spec: dataclasses.replace(real_rules(spec), value=real_rules(spec).value + 1))
+
+        def bumped(spec, allow_oracle=True):
+            report = real_rules(spec, allow_oracle)
+            return dataclasses.replace(report, value=report.value + 1)
+
+        monkeypatch.setattr(formulas, "exponent", bumped)
         with pytest.raises(DispatchMismatchError,
                            match="walk gave 6, dispatch rule POSITIVE_TRACE gave 7, oracle gave 6 "):
             census(6, check_oracle=True)
-        # dispatcher and oracle agree, the walk does not
+        # rules and oracle agree, the walk does not
         monkeypatch.setattr(oracle, "exponent", lambda matrix: real_oracle(matrix) + 1)
         with pytest.raises(DispatchMismatchError,
                            match="walk gave 6, dispatch rule POSITIVE_TRACE gave 7, oracle gave 7 "):
             census(6, check_oracle=True)
+
+    def test_check_oracle_compares_uncovered_rows_with_walk(self, monkeypatch):
+        real = oracle.exponent
+        uncovered = companion_matrix(CompanionSpec(6, "101100"))
+        monkeypatch.setattr(oracle, "exponent", lambda m: real(m) + (m == uncovered))
+        with pytest.raises(DispatchMismatchError,
+                           match="^walk gave 13, no closed-form rule applies, oracle gave 14 for spec 6 101100$"):
+            census(6, check_oracle=True)
+
+    def test_check_oracle_powers_each_row_once(self, monkeypatch):
+        calls = Counter()
+        real = oracle.exponent
+
+        def counted(m):
+            calls[m.n] += 1
+            return real(m)
+
+        monkeypatch.setattr(oracle, "exponent", counted)
+        for n in range(3, 13):
+            census(n, check_oracle=True)
+        assert calls == {n: count_primitive(n) for n in range(3, 13)}
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_imprimitive_count_matches_inclusion_exclusion(self, census_cache, n):
