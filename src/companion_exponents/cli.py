@@ -35,8 +35,8 @@ def _spec_from_args(args: argparse.Namespace) -> CompanionSpec:
 
 def _cmd_exp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    formulas.require_primitive(spec)
     if args.oracle_only:
+        formulas.require_primitive(spec)
         report = ExponentReport(oracle.exponent(companion_matrix(spec)), RULE_ORACLE)
     else:
         try:
@@ -77,10 +77,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_count_imprimitive(args: argparse.Namespace) -> int:
-    print(counting.count_imprimitive(args.n))
-    if args.list:
-        for row in counting.list_imprimitive(args.n):
-            print(row)
+    count = counting.count_imprimitive(args.n)
+    rows = counting.list_imprimitive(args.n) if args.list else []
+    print(count, *rows, sep="\n")
     return EXIT_OK
 
 
@@ -152,8 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.set_defaults(handler=_cmd_census)
 
     p_count = sub.add_parser("count-imprimitive", help="number of imprimitive irreducible specs")
-    p_count.add_argument("n", type=int, help="matrix order (>= 3)")
-    p_count.add_argument("--list", action="store_true", help="also print each imprimitive row")
+    p_count.add_argument("n", type=int, help=f"matrix order (3..{counting.MAX_IMPRIMITIVE_ORDER})")
+    p_count.add_argument("--list", action="store_true", help="also print each imprimitive row, fewer than "
+                         f"2**(n/2) of them (orders up to {counting.MAX_IMPRIMITIVE_LIST_ORDER})")
     p_count.set_defaults(handler=_cmd_count_imprimitive)
 
     p_frob = sub.add_parser("frobenius", help="conductor of a generator set")

@@ -15,7 +15,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import formulas, oracle
 from ._version import __version__
@@ -25,6 +24,8 @@ from .frobenius import conductor
 MAX_CENSUS_ORDER = 20
 MAX_STRING_TABLE_LENGTH = 76  # longest length for f_strings: the table takes about 1 s
 MAX_RUN_AVOIDING_LENGTH = 14_000  # longest length for t_runs: 2**n has at most 4300 digits
+MAX_IMPRIMITIVE_ORDER = 28_000  # the count stays below 2**(n/2), which prints in at most 4300 digits
+MAX_IMPRIMITIVE_LIST_ORDER = 24  # the list holds fewer than 2**(n/2) rows
 
 
 class DispatchMismatchError(AssertionError):
@@ -53,6 +54,8 @@ def count_imprimitive(n: int) -> int:
     among the n/p vertices congruent to 1 mod p, giving 2**(n/p - 1) per
     prime (vertex 1 is always in the support).
     """
+    if n > MAX_IMPRIMITIVE_ORDER:
+        raise ValueError(f"order {n} above MAX_IMPRIMITIVE_ORDER = {MAX_IMPRIMITIVE_ORDER}")
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
     primes = _distinct_prime_factors(n)
@@ -72,28 +75,22 @@ def count_primitive(n: int) -> int:
     return (1 << (n - 1)) - count_imprimitive(n)
 
 
-def _row_gcd(n: int, y: int) -> int:
-    """gcd of cycle lengths for the irreducible row "1" + (n-1 bits of y, MSB first)."""
-    g = n
-    rem = y
-    while rem and g > 1:
-        low = rem & -rem
-        # bit k of y is row position n - k, i.e. cycle length k + 1
-        g = math.gcd(g, low.bit_length())
-        rem ^= low
-    return g
-
-
 def list_imprimitive(n: int) -> list[str]:
-    """All irreducible last rows (full n-bit strings) with cycle-length gcd > 1, sorted."""
-    if not 3 <= n <= 24:
-        raise ValueError(f"order must be in [3, 24], got {n}")
-    width = n - 1
-    return [
-        "1" + format(y, f"0{width}b")
-        for y in range(1 << width)
-        if _row_gcd(n, y) > 1
-    ]
+    """All irreducible last rows (full n-bit strings) with cycle-length gcd > 1, sorted.
+
+    These are the rows count_imprimitive counts: for each prime p | n,
+    every row whose support lies among the vertices 1, 1 + p, 1 + 2p, ...
+    """
+    if not 3 <= n <= MAX_IMPRIMITIVE_LIST_ORDER:
+        raise ValueError(f"order must be in [3, {MAX_IMPRIMITIVE_LIST_ORDER}], got {n}")
+    found: set[int] = set()
+    for p in _distinct_prime_factors(n):
+        # y holds vertex i at bit n - i; vertex 1 is the leading "1"
+        rows = {0}
+        for i in range(1 + p, n + 1, p):
+            rows |= {y | 1 << (n - i) for y in rows}
+        found |= rows
+    return ["1" + format(y, f"0{n - 1}b") for y in sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ class StringCountTable:
         return self.counts[x][k]
 
 
-@lru_cache(maxsize=None)
 def string_count_table(n: int) -> StringCountTable:
     """Tabulate all (zeros, longest-zero-run) counts for length n in one DP pass.
 
@@ -173,15 +169,17 @@ def count_positive_trace_with_exponent(n: int, t: int) -> int:
 
     A positive-trace spec has exponent n + (longest zero run), and only
     the n-2 bits in columns 2..n-1 are free, so this counts the
-    (n-2)-bit strings whose longest zero run is exactly t - n, over all
-    zero totals.
+    (n-2)-bit strings whose longest zero run is exactly k = t - n: those
+    with no k + 1 zeros in a row less those with no k zeros in a row.
     """
+    if n - 2 > MAX_RUN_AVOIDING_LENGTH:
+        raise ValueError(f"order {n} above MAX_RUN_AVOIDING_LENGTH + 2 = {MAX_RUN_AVOIDING_LENGTH + 2}")
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
     if not n <= t <= 2 * (n - 1):
         raise ValueError(f"exponent {t} outside [{n}, {2 * (n - 1)}]")
     k = t - n
-    return sum(f_strings(n - 2, x, k) for x in range(k, n - 1))
+    return _runs_avoiding(k + 1, n - 2) - _runs_avoiding(k, n - 2)
 
 
 def block_prefix_upper_count(n: int) -> int:

@@ -82,15 +82,15 @@ class LocalExpQuery:
     offset: int
 
 
-def require_primitive(spec: CompanionSpec) -> None:
-    """Raise NotPrimitiveError naming the gcd and cycle lengths when not primitive."""
-    if is_primitive(spec):
-        return
+def require_primitive(spec: CompanionSpec) -> tuple[int, ...]:
+    """Cycle lengths of a primitive spec; otherwise NotPrimitiveError naming the gcd and lengths."""
     if not is_irreducible(spec):
         raise NotPrimitiveError("reducible: last row starts with 0")
     lengths = cycle_lengths(spec)
-    listed = ", ".join(str(l) for l in lengths)
-    raise NotPrimitiveError(f"imprimitive: gcd(L)={math.gcd(*lengths)} cycle lengths {{{listed}}}")
+    if math.gcd(*lengths) != 1:
+        listed = ", ".join(str(l) for l in lengths)
+        raise NotPrimitiveError(f"imprimitive: gcd(L)={math.gcd(*lengths)} cycle lengths {{{listed}}}")
+    return lengths
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ class _SpecFacts:
     special: int
 
     @classmethod
-    def of(cls, spec: CompanionSpec) -> _SpecFacts:
-        bits, lengths = spec.row_string, cycle_lengths(spec)
+    def of(cls, spec: CompanionSpec, lengths: tuple[int, ...]) -> _SpecFacts:
+        bits = spec.row_string
         support = int(bits[::-1], 2)
         special = support
         for t in range(1, lengths[0]):
@@ -118,7 +118,7 @@ def _facts(spec: CompanionSpec | _SpecFacts, zero_trace: bool = False) -> _SpecF
     if not isinstance(spec, _SpecFacts):
         if not is_primitive(spec):
             raise PreconditionError("spec is not primitive")
-        spec = _SpecFacts.of(spec)
+        spec = _SpecFacts.of(spec, cycle_lengths(spec))
     if zero_trace and spec.support >> (spec.n - 1):
         raise PreconditionError("rule needs zero trace (last row bit n must be 0)")
     return spec
@@ -279,9 +279,9 @@ def exponent(spec: CompanionSpec, allow_oracle: bool = True) -> ExponentReport:
     Tries POSITIVE_TRACE, TWO_CYCLES, SMALLEST_CYCLE_2, BLOCK_V1_PREFIX in
     that order and falls back to the powering oracle.  With
     allow_oracle=False the fallback raises PreconditionError instead.
+    Raises NotPrimitiveError when the spec is not primitive.
     """
-    require_primitive(spec)
-    facts = _SpecFacts.of(spec)
+    facts = _SpecFacts.of(spec, require_primitive(spec))
     for rule in _RULE_ORDER:
         try:
             return rule(facts)

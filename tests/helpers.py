@@ -3,10 +3,14 @@
 Nothing here reuses library internals: products are triple loops over
 nested lists, cycle enumeration goes through networkx, walk checks step
 frontier sets, representability does a bounded coefficient search, and
-string statistics are measured on explicitly enumerated strings.
+string statistics are measured on explicitly enumerated strings or by a
+bit-by-bit scan of every string at once.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
 
 import networkx as nx
 
@@ -98,6 +102,32 @@ def longest_consecutive_run(indices) -> int:
 def irreducible_rows(n: int):
     for y in range(1 << (n - 1)):
         yield "1" + format(y, f"0{n - 1}b")
+
+
+def row_cycle_gcd(row: str) -> int:
+    """gcd of the cycle lengths n - i + 1 over the support columns i of a row."""
+    return math.gcd(*(len(row) - i for i, bit in enumerate(row) if bit == "1"))
+
+
+def longest_zero_run_histograms(length_max: int) -> list[Counter]:
+    """hists[m][k]: length-m strings whose longest zero run is k, for m <= length_max.
+
+    Scans the strings one bit at a time with state (current zero run,
+    longest zero run so far); appending a 1 resets the run.
+    """
+    states = Counter({(0, 0): 1})
+    hists = []
+    for _ in range(length_max + 1):
+        hist: Counter = Counter()
+        for (_run, best), c in states.items():
+            hist[best] += c
+        hists.append(hist)
+        nxt: Counter = Counter()
+        for (run, best), c in states.items():
+            nxt[0, best] += c
+            nxt[run + 1, max(best, run + 1)] += c
+        states = nxt
+    return hists
 
 
 def binary_strings(n: int):

@@ -1,14 +1,24 @@
 """CLI surface: output formats, exit codes, file emission."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from companion_exponents import CompanionSpec, companion_matrix, formulas, oracle, verify
-from companion_exponents.counting import MAX_RUN_AVOIDING_LENGTH, MAX_STRING_TABLE_LENGTH
+from companion_exponents.counting import (
+    MAX_IMPRIMITIVE_LIST_ORDER,
+    MAX_IMPRIMITIVE_ORDER,
+    MAX_RUN_AVOIDING_LENGTH,
+    MAX_STRING_TABLE_LENGTH,
+)
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
 
@@ -24,6 +34,29 @@ VERIFY_STDOUT_DIGESTS = {
     9: "fff130f6546a5d3bb7ead85d841c5d972c928d166a50312ebc64c50524e3cc31",
     10: "a5f74ad7b433b26d0469168e0231105c4f81340119498f174a85d055998783c9",
     11: "9609328839c76cf402fb80085d128c4dffa1e8add180334fb9f7c2a467714b83",
+}
+
+# SHA-256 of `count-imprimitive n --list` stdout, taken while the list was
+# still a gcd scan over all 2**(n-1) rows.
+IMPRIMITIVE_LIST_DIGESTS = {
+    3: "89ecad28e25479d2eb946d14e8d4633847426160e819333dbfb8ae7417515d06",
+    4: "f4a685888cfb580202acbd00e626e1aedcc1aec2f3e38b53604298e585264771",
+    5: "29c9eb9e82e1525a19a6c43edb201921c22cbaecf16b71b51d01c0e5c6c6584f",
+    6: "3a0169adcb9f78a3be0efcb8eaf875ec6997b08af827e77acde49cebd9e2fabc",
+    7: "2d71fd9250e00bd67405d89c8ed5b29827e63cbdbd279b2c8161ef83a790d8bc",
+    8: "80a4b80939eb5da0d7c8087e234cbd39404c9e0f194758068878d52fa8dbeead",
+    9: "84b6f563036238203d48089baca80bdd99438ce2828bdacac2cbd4a9173afaad",
+    10: "e343164cae6b65909e5aa5ed0e6d97c82fcc46988b6b01dd09e8923bd58dbafa",
+    11: "603dee76a43a4252fd94c23163ba5adb20e4f350cb30c0a8c2deb2f3b345cb9d",
+    12: "352d60a4eb2f547e29c20ceb47b13cdf89970c03e35dee5cc7072419d701a829",
+    13: "af28a2f73ab5f67906d35082a91ccafe7cf6a7eb8bb65906e34c1a1d0745ebdf",
+    14: "35f60f3a3cf54370a5138d1d9fba94dc2d1db65fc024e42af1a2815f9df68d4b",
+    15: "59ac38ffcd0de94ab72de87593e78e8437c83e8c2213533ddfaaaf97e7280efd",
+    16: "baa82154c84c9d6ed66af12c0132ac63be35e0b99ce6a2c2ec905cc73dd84a25",
+    17: "eac22af906aa41f0113c24a12104b5eb58390401f9cba2f1a7e63be7f4075974",
+    18: "e6d57367ee579457d1b98f43554482a6a566d8f2523ea4ab3a146de277d17bfb",
+    19: "c825fa0c23f31d19a898b85229a1c7be262b64f707a2f402f033a7eabb79da51",
+    20: "6d1b35b0e052955380929e57f9f3a01e36b9e845e8d3a51e6317424768a814cd",
 }
 
 
@@ -54,6 +87,30 @@ class TestExp:
         code, _, err = run(capsys, "exp", "8", "01111111")
         assert code == 3
         assert "reducible" in err
+
+    @pytest.mark.parametrize("mode", ([], ["--rule-only"], ["--oracle-only"]))
+    def test_not_primitive_same_in_every_mode(self, capsys, mode):
+        assert run(capsys, "exp", "8", "10101010", *mode) == (
+            3, "", "imprimitive: gcd(L)=2 cycle lengths {2, 4, 6, 8}\n")
+        assert run(capsys, "exp", "8", "01111111", *mode) == (3, "", "reducible: last row starts with 0\n")
+
+    @pytest.mark.parametrize("row", ("11111111", "11000000", "10011000"))
+    def test_cycle_lengths_computed_once(self, capsys, monkeypatch, row):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(formulas, name)
+
+            def wrapper(spec):
+                calls[name] += 1
+                return original(spec)
+            return wrapper
+
+        for name in ("cycle_lengths", "is_primitive"):
+            monkeypatch.setattr(formulas, name, counted(name))
+        code, _, _ = run(capsys, "exp", "8", row)
+        assert code == 0
+        assert calls == Counter(cycle_lengths=1)
 
     def test_parse_failure_exit_two(self, capsys):
         code, _, _ = run(capsys, "exp", "8", "1100")
@@ -150,6 +207,13 @@ class TestCountImprimitive:
         assert code == 0
         assert out == "1\n1000000\n"
 
+    @pytest.mark.parametrize("n", sorted(IMPRIMITIVE_LIST_DIGESTS))
+    def test_list_stdout_pinned(self, capsys, n):
+        code, out, _ = run(capsys, "count-imprimitive", str(n), "--list")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == IMPRIMITIVE_LIST_DIGESTS[n]
+
+
 
 class TestFrobenius:
     def test_both_conventions_labeled(self, capsys):
@@ -203,6 +267,55 @@ class TestStrings:
         assert code == 2
         code, _, _ = run(capsys, "strings", "t", "2", "3", "4")
         assert code == 2
+
+
+def timed_run(*argv):
+    """(exit code, stdout, stderr, seconds) of one CLI call; usable under Hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+def above(cap):
+    return st.one_of(st.integers(cap + 1, cap + 100), st.integers(cap + 1, 10**18))
+
+
+class TestCountingCapsExitTwo:
+    """Just above each counting cap the CLI exits 2 at once, naming the constant."""
+
+    @given(above(MAX_IMPRIMITIVE_ORDER), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_count_imprimitive(self, n, listed):
+        code, out, err, seconds = timed_run("count-imprimitive", str(n), *(["--list"] if listed else []))
+        assert (code, out) == (2, "")
+        assert "MAX_IMPRIMITIVE_ORDER" in err
+        assert seconds < 1
+
+    @given(st.integers(MAX_IMPRIMITIVE_LIST_ORDER + 1, MAX_IMPRIMITIVE_ORDER))
+    @settings(max_examples=30, deadline=None)
+    def test_list_imprimitive(self, n):
+        code, out, err, seconds = timed_run("count-imprimitive", str(n), "--list")
+        assert (code, out) == (2, "")
+        assert f"[3, {MAX_IMPRIMITIVE_LIST_ORDER}]" in err
+        assert seconds < 1
+
+    @given(st.integers(2, 10**18), above(MAX_RUN_AVOIDING_LENGTH))
+    @settings(max_examples=30, deadline=None)
+    def test_t_runs(self, r, n):
+        code, out, err, seconds = timed_run("strings", "t", str(r), str(n))
+        assert (code, out) == (2, "")
+        assert "MAX_RUN_AVOIDING_LENGTH" in err
+        assert seconds < 1
+
+    @given(above(MAX_STRING_TABLE_LENGTH), st.integers(-5, 10**18), st.integers(-5, 10**18))
+    @settings(max_examples=30, deadline=None)
+    def test_f_strings(self, n, x, k):
+        code, out, err, seconds = timed_run("strings", "f", str(n), str(x), str(k))
+        assert (code, out) == (2, "")
+        assert "MAX_STRING_TABLE_LENGTH" in err
+        assert seconds < 1
 
 
 class TestVerify:

@@ -29,8 +29,19 @@ from companion_exponents import (
     vertex_partition,
 )
 from companion_exponents import formulas, oracle
-from companion_exponents.counting import MAX_RUN_AVOIDING_LENGTH, MAX_STRING_TABLE_LENGTH
-from helpers import binary_strings, irreducible_rows, longest_zero_run
+from companion_exponents.counting import (
+    MAX_IMPRIMITIVE_LIST_ORDER,
+    MAX_IMPRIMITIVE_ORDER,
+    MAX_RUN_AVOIDING_LENGTH,
+    MAX_STRING_TABLE_LENGTH,
+)
+from helpers import (
+    binary_strings,
+    irreducible_rows,
+    longest_zero_run,
+    longest_zero_run_histograms,
+    row_cycle_gcd,
+)
 
 KNOWN_IMPRIMITIVE_TAILS_8 = {
     "0000000", "0100000", "0001000", "0000010",
@@ -108,6 +119,22 @@ class TestImprimitiveCounts:
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
             count_imprimitive(2)
+
+    def test_order_cap(self):
+        assert count_imprimitive(MAX_IMPRIMITIVE_ORDER) > 0
+        assert len(str(count_imprimitive(MAX_IMPRIMITIVE_ORDER))) <= 4300
+        for n in (MAX_IMPRIMITIVE_ORDER + 1, 10**12):
+            with pytest.raises(ValueError, match="MAX_IMPRIMITIVE_ORDER"):
+                count_imprimitive(n)
+
+    def test_list_matches_gcd_filter(self):
+        for n in range(3, 17):
+            assert list_imprimitive(n) == [row for row in irreducible_rows(n) if row_cycle_gcd(row) > 1]
+
+    def test_list_order_cap(self):
+        assert len(list_imprimitive(MAX_IMPRIMITIVE_LIST_ORDER)) == count_imprimitive(MAX_IMPRIMITIVE_LIST_ORDER)
+        with pytest.raises(ValueError, match=str(MAX_IMPRIMITIVE_LIST_ORDER)):
+            list_imprimitive(MAX_IMPRIMITIVE_LIST_ORDER + 1)
 
     def test_list_order_eight(self):
         rows = list_imprimitive(8)
@@ -221,6 +248,23 @@ class TestPositiveTraceCounts:
             count_positive_trace_with_exponent(8, 15)
         with pytest.raises(ValueError):
             count_positive_trace_with_exponent(8, 7)
+
+    def test_order_cap(self):
+        n = MAX_RUN_AVOIDING_LENGTH + 2
+        assert count_positive_trace_with_exponent(n, 2 * (n - 1)) == 1
+        with pytest.raises(ValueError, match="MAX_RUN_AVOIDING_LENGTH"):
+            count_positive_trace_with_exponent(n + 1, n + 1)
+
+    def test_matches_longest_zero_run_scan(self):
+        hists = longest_zero_run_histograms(MAX_STRING_TABLE_LENGTH)
+        for m in range(0, 13):
+            assert hists[m] == Counter(longest_zero_run(s) for s in binary_strings(m))
+        for m in range(0, 25):
+            table = string_count_table(m)
+            assert hists[m] == Counter({k: sum(table.count(x, k) for x in range(k, m + 1)) for k in range(m + 1)})
+        for n in range(3, MAX_STRING_TABLE_LENGTH + 3):
+            for t in range(n, 2 * (n - 1) + 1):
+                assert count_positive_trace_with_exponent(n, t) == hists[n - 2][t - n]
 
     def test_matches_census_slice(self, census_cache):
         for n in range(3, 11):
