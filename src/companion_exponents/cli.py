@@ -68,7 +68,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     else:
         path = Path(os.environ.get(OUTDIR_ENV, ".")) / f"census_n{args.n}.{args.format}"
     text = record.to_csv() if args.format == "csv" else record.to_json()
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     print(
         f"census n={args.n} primitive={record.primitive_count} "
         f"imprimitive={record.imprimitive_count} exponents={len(record.exponent_set)} -> {path}"
@@ -143,11 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_local.set_defaults(handler=_cmd_local_exp)
 
     p_census = sub.add_parser("census", help="exhaustive exponent census of one order")
-    p_census.add_argument("n", type=int, help="matrix order (3..20)")
+    p_census.add_argument("n", type=int, help=f"matrix order (3..{counting.MAX_CENSUS_ORDER})")
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
     p_census.add_argument("--out", help="output path (default: $%s/census_n<n>.<ext>)" % OUTDIR_ENV)
     p_census.add_argument("--check-oracle", action="store_true",
-                          help="assert walk, dispatch and oracle agree on every primitive spec")
+                          help="assert walk, dispatch and oracle agree on every primitive spec "
+                          f"(orders up to {counting.MAX_CHECKED_CENSUS_ORDER})")
     p_census.set_defaults(handler=_cmd_census)
 
     p_count = sub.add_parser("count-imprimitive", help="number of imprimitive irreducible specs")

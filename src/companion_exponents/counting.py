@@ -22,6 +22,7 @@ from .core import CompanionSpec, companion_matrix, wielandt_bound
 from .frobenius import conductor
 
 MAX_CENSUS_ORDER = 20
+MAX_CHECKED_CENSUS_ORDER = 14  # census with check_oracle: one oracle powering per primitive row takes about 1 s
 MAX_STRING_TABLE_LENGTH = 76  # longest length for f_strings: the table takes about 1 s
 MAX_RUN_AVOIDING_LENGTH = 14_000  # longest length for t_runs: 2**n has at most 4300 digits
 MAX_IMPRIMITIVE_ORDER = 28_000  # the count stays below 2**(n/2), which prints in at most 4300 digits
@@ -326,9 +327,13 @@ def census(n: int, check_oracle: bool = False) -> CensusRecord:
     once by the oracle and tried on the closed-form rules (no oracle
     fallback); DispatchMismatchError is raised unless the oracle value and
     the rule value, where a rule applies, both equal the walk value.
+    That check is refused above MAX_CHECKED_CENSUS_ORDER.
     """
     if not 3 <= n <= MAX_CENSUS_ORDER:
-        raise ValueError(f"order must be in [3, {MAX_CENSUS_ORDER}], got {n}")
+        raise ValueError(f"order must be in [3, MAX_CENSUS_ORDER = {MAX_CENSUS_ORDER}], got {n}")
+    if check_oracle and n > MAX_CHECKED_CENSUS_ORDER:
+        raise ValueError(
+            f"order {n} above MAX_CHECKED_CENSUS_ORDER = {MAX_CHECKED_CENSUS_ORDER} for the oracle check")
     masks = _walk(n)
     width = n - 1
 

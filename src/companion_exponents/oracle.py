@@ -5,7 +5,9 @@ the k-th power is 1 exactly when the digraph has an i -> j walk of length
 k.  Every scan is cut off at the Wielandt bound (n-1)**2 + 1: a primitive
 matrix turns all-positive by then, so reaching the cutoff without an
 all-positive power certifies the matrix is not primitive, with no
-probabilistic slack.
+probabilistic slack.  Powering refuses orders above MAX_POWERING_ORDER
+and the row walk orders above MAX_ROW_WALK_ORDER; the worst case of
+each, the Wielandt row 11 0..0, takes about 1 s at its cap.
 
 Internally a matrix of order n is packed into one int, with row i
 (1-based) in the n-bit slot at bits (i-1)n .. in-1, and every product
@@ -27,6 +29,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import BoolMatrix, wielandt_bound
+
+MAX_POWERING_ORDER = 86  # exponent, local_exponent_table: up to (n-1)**2 + 1 products of packed matrices
+MAX_ROW_WALK_ORDER = 180  # local_exponent, row_exponent: one row stepped (n-1)**2 + 1 times
 
 
 class NotPrimitiveError(ValueError):
@@ -56,7 +61,9 @@ def _times(p: int, rows: Sequence[int], slots: int) -> int:
 
 
 def _powers(m: BoolMatrix) -> Iterator[int]:
-    """Packed m**1, m**2, .., m**bound, one product per step."""
+    """Packed m**1, m**2, .., m**bound, one product per step; refused above MAX_POWERING_ORDER."""
+    if m.n > MAX_POWERING_ORDER:
+        raise ValueError(f"order {m.n} above MAX_POWERING_ORDER = {MAX_POWERING_ORDER}")
     slots = _slots(m.n)
     power = _pack(m)
     yield power
@@ -75,23 +82,19 @@ def bool_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
 def has_positive_power(m: BoolMatrix) -> bool:
     """Primitivity test: is some power within the Wielandt bound all-positive?
 
-    Positivity propagates along further powers of a primitive matrix, so
-    it is enough to look at the single power at the cutoff, reached here
-    by binary powering.
+    The packed matrix is squared until it is all-positive or its power
+    reaches the bound.  An all-positive power stays all-positive, and a
+    primitive matrix is all-positive by the bound, so this decides the
+    same question as the single power at the bound.
     """
     n = m.n
+    full = (1 << (n * n)) - 1
     slots = _slots(n)
-    k = wielandt_bound(n)
-    acc = None
-    base = _pack(m)
-    while k:
-        rows = _unpack(base, n)
-        if k & 1:
-            acc = base if acc is None else _times(acc, rows, slots)
-        k >>= 1
-        if k:
-            base = _times(base, rows, slots)
-    return acc == (1 << (n * n)) - 1
+    power, length = _pack(m), 1
+    while power != full and length < wielandt_bound(n):
+        power = _times(power, _unpack(power, n), slots)
+        length *= 2
+    return power == full
 
 
 def _check_vertex(m: BoolMatrix, i: int) -> None:
@@ -103,7 +106,8 @@ def exponent(m: BoolMatrix) -> int:
     """Smallest k with m**k all-positive, found by direct powering.
 
     Raises NotPrimitiveError when no power up to the Wielandt bound is
-    all-positive (and hence none at all).
+    all-positive (and hence none at all), and ValueError for orders
+    above MAX_POWERING_ORDER.
     """
     full = (1 << (m.n * m.n)) - 1
     for k, power in enumerate(_powers(m), 1):
@@ -113,17 +117,18 @@ def exponent(m: BoolMatrix) -> int:
 
 
 def _settles(m: BoolMatrix, i: int, want: int) -> int:
-    """Smallest k such that walks from i of every length >= k reach all of `want`, by
-    a downward scan of the row walk from the Wielandt bound, where primitive input is full."""
+    """Smallest k such that walks from i of every length >= k reach all of `want`:
+    one past the last length up to the Wielandt bound whose walk misses some of it."""
+    if m.n > MAX_ROW_WALK_ORDER:
+        raise ValueError(f"order {m.n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
     if not has_positive_power(m):
         raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
-    walks = [m.rows[i - 1]]
-    for _ in range(wielandt_bound(m.n) - 1):
-        walks.append(_times(walks[-1], m.rows, 1))
-    for length in range(len(walks), 0, -1):
-        if walks[length - 1] & want != want:
-            return length + 1
-    return 1
+    walk, settles = 1 << (i - 1), 1
+    for length in range(1, wielandt_bound(m.n) + 1):
+        walk = _times(walk, m.rows, 1)
+        if walk & want != want:
+            settles = length + 1
+    return settles
 
 
 def local_exponent(m: BoolMatrix, i: int, j: int) -> int:
@@ -137,24 +142,6 @@ def row_exponent(m: BoolMatrix, i: int) -> int:
     """Smallest k such that row i of m**k (and of every later power) is all-positive."""
     _check_vertex(m, i)
     return _settles(m, i, (1 << m.n) - 1)
-
-
-@dataclass(frozen=True)
-class PowerTrace:
-    """All boolean powers m**1 .. m**bound of one matrix, bound = (n-1)**2 + 1."""
-
-    n: int
-    powers: tuple[BoolMatrix, ...]
-
-    @classmethod
-    def compute(cls, m: BoolMatrix) -> "PowerTrace":
-        return cls(m.n, tuple(BoolMatrix(m.n, _unpack(p, m.n)) for p in _powers(m)))
-
-    def power(self, k: int) -> BoolMatrix:
-        """m**k for 1 <= k <= bound."""
-        if not 1 <= k <= len(self.powers):
-            raise ValueError(f"power {k} out of [1, {len(self.powers)}]")
-        return self.powers[k - 1]
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,8 @@ def local_exponent_table(m: BoolMatrix) -> LocalExponentTable:
     The powers m**bound .. m**1 are scanned downward; an entry's local
     exponent is one past the first length, from the top, at which it is
     missing, and `pending` holds the entries not yet seen missing.  The
-    top power doubles as the primitivity test.
+    top power doubles as the primitivity test.  Raises ValueError for
+    orders above MAX_POWERING_ORDER.
     """
     n = m.n
     powers = list(_powers(m))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import counting, formulas, frobenius, oracle
 from .core import (
+    BoolMatrix,
     CompanionSpec,
     companion_matrix,
     cycle_lengths,
@@ -47,22 +48,22 @@ def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
             if len(lengths) != len(part.support) or max(lengths) != n:
                 return CheckResult("cycle-structure", False, f"bad lengths for {spec.n} {spec.row_string}")
             checked += 1
-    # walk counter: entry (i, j) of the k-th power == an i -> j walk of length k
+    # walk counter: row i of the k-th power == the ends of i -> * walks of length k
     for n in range(3, min(n_max, 6) + 1):
         for spec in irreducible[n]:
             m = companion_matrix(spec)
-            trace = oracle.PowerTrace.compute(m)
             adj = [set()] + [{j for j in range(1, n + 1) if m.entry(i, j)} for i in range(1, n + 1)]
-            for i in range(1, n + 1):
-                frontier = {i}
-                for k in range(1, wielandt_bound(n) + 1):
-                    frontier = set().union(*(adj[v] for v in frontier)) if frontier else set()
-                    power = trace.power(k)
-                    for j in range(1, n + 1):
-                        if (j in frontier) != bool(power.entry(i, j)):
-                            return CheckResult(
-                                "cycle-structure", False,
-                                f"walk mismatch at {spec.n} {spec.row_string} ({i},{j},{k})")
+            power = BoolMatrix.identity(n)
+            frontiers = [{i} for i in range(1, n + 1)]
+            for k in range(1, wielandt_bound(n) + 1):
+                power = oracle.bool_product(power, m)
+                frontiers = [set().union(*(adj[v] for v in frontier)) for frontier in frontiers]
+                for i, (row, frontier) in enumerate(zip(power.rows, frontiers), 1):
+                    diff = row ^ sum(1 << (j - 1) for j in frontier)
+                    if diff:
+                        j = (diff & -diff).bit_length()
+                        return CheckResult(
+                            "cycle-structure", False, f"walk mismatch at {spec.n} {spec.row_string} ({i},{j},{k})")
     return CheckResult("cycle-structure", True, f"{checked} specs, walk counter to order {min(n_max, 6)}")
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import time
 from collections import Counter
 
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from companion_exponents import CompanionSpec, companion_matrix, formulas, oracle, verify
 from companion_exponents.counting import (
+    MAX_CENSUS_ORDER,
+    MAX_CHECKED_CENSUS_ORDER,
     MAX_IMPRIMITIVE_LIST_ORDER,
     MAX_IMPRIMITIVE_ORDER,
     MAX_RUN_AVOIDING_LENGTH,
@@ -21,6 +24,7 @@ from companion_exponents.counting import (
 )
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
+from companion_exponents.oracle import MAX_POWERING_ORDER, MAX_ROW_WALK_ORDER
 
 # SHA-256 of `verify --n-max n` stdout, taken before dispatch-soundness became
 # a loop over the census check: its PASS lines must not change by a byte.
@@ -138,6 +142,15 @@ class TestExp:
         assert code == 0
         assert out.startswith("exp=22")
 
+    def test_above_the_powering_cap_only_rules_answer(self, capsys):
+        n = MAX_POWERING_ORDER + 1
+        assert run(capsys, "exp", str(n), "11" + "0" * (n - 2)) == (0, f"exp={(n - 1) ** 2 + 1} rule=TWO_CYCLES\n", "")
+        uncovered = "1101" + "0" * (n - 4)
+        code, out, err = run(capsys, "exp", str(n), uncovered)
+        assert (code, out) == (2, "")
+        assert "MAX_POWERING_ORDER" in err
+        assert run(capsys, "exp", str(n), uncovered, "--rule-only") == (4, "", "no closed-form rule applies\n")
+
 
 class TestLocalExp:
     def test_worked_values(self, capsys):
@@ -196,6 +209,12 @@ class TestCensusCommand:
     def test_bad_order(self, capsys):
         code, _, _ = run(capsys, "census", "2")
         assert code == 2
+
+    def test_out_into_missing_directory_exit_two(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "census", "5", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(out_path) in err
 
 
 class TestCountImprimitive:
@@ -315,6 +334,62 @@ class TestCountingCapsExitTwo:
         code, out, err, seconds = timed_run("strings", "f", str(n), str(x), str(k))
         assert (code, out) == (2, "")
         assert "MAX_STRING_TABLE_LENGTH" in err
+        assert seconds < 1
+
+
+def primitive_rows(min_order):
+    """(n, row) above min_order with a positive trace, so the row is primitive."""
+    return st.integers(min_order, min_order + 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n - 2)) - 1).map(
+            lambda y: "1" + format(y, f"0{n - 2}b") + "1")))
+
+
+class TestOracleCensusAndConductorCapsExitTwo:
+    """Just above the oracle, census and conductor caps the CLI exits 2 at once, naming the constant."""
+
+    @given(primitive_rows(MAX_POWERING_ORDER + 1))
+    @settings(max_examples=30, deadline=None)
+    def test_powering(self, spec):
+        n, row = spec
+        code, out, err, seconds = timed_run("exp", str(n), row, "--oracle-only")
+        assert (code, out) == (2, "")
+        assert "MAX_POWERING_ORDER" in err
+        assert seconds < 1
+
+    @given(primitive_rows(MAX_ROW_WALK_ORDER + 1), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_row_walk(self, spec, data):
+        n, row = spec
+        i, j = (data.draw(st.integers(1, n)) for _ in range(2))
+        code, out, err, seconds = timed_run("local-exp", str(n), row, str(i), str(j))
+        assert (code, out) == (2, "")
+        assert "MAX_ROW_WALK_ORDER" in err
+        assert seconds < 1
+
+    @given(st.integers(MAX_CHECKED_CENSUS_ORDER + 1, MAX_CENSUS_ORDER), st.sampled_from(("csv", "json")))
+    @settings(max_examples=30, deadline=None)
+    def test_checked_census(self, n, fmt):
+        code, out, err, seconds = timed_run("census", str(n), "--check-oracle", "--format", fmt, "--out", os.devnull)
+        assert (code, out) == (2, "")
+        assert "MAX_CHECKED_CENSUS_ORDER" in err
+        assert seconds < 1
+
+    @given(above(MAX_CENSUS_ORDER), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_census(self, n, checked):
+        code, out, err, seconds = timed_run("census", str(n), *(["--check-oracle"] if checked else []),
+                                            "--out", os.devnull)
+        assert (code, out) == (2, "")
+        assert "MAX_CENSUS_ORDER" in err
+        assert seconds < 1
+
+    @given(st.integers(2, 4).flatmap(lambda u: st.tuples(st.just(u), above(MAX_CONDUCTOR_WORK // u))))
+    @settings(max_examples=30, deadline=None)
+    def test_conductor(self, drawn):
+        u, a = drawn
+        code, out, err, seconds = timed_run("frobenius", *(str(a + d) for d in range(u)))
+        assert (code, out) == (2, "")
+        assert "MAX_CONDUCTOR_WORK" in err
         assert seconds < 1
 
 

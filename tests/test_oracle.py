@@ -1,7 +1,7 @@
-"""Boolean powering oracle: products, exponents, local exponents, traces."""
+"""Boolean powering oracle: products, exponents, local exponents, order caps."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from companion_exponents import (
@@ -9,13 +9,13 @@ from companion_exponents import (
     CompanionSpec,
     LocalExponentTable,
     NotPrimitiveError,
-    PowerTrace,
     bool_product,
     companion_matrix,
     has_positive_power,
     is_primitive,
     local_exponent,
     local_exponent_table,
+    oracle,
     oracle_exponent,
     row_exponent,
     wielandt_bound,
@@ -64,6 +64,14 @@ def naive_powers(m):
     for _ in range(wielandt_bound(m.n) - 1):
         out.append(naive_bool_product(out[-1], entries))
     return out
+
+
+def product_chain(m):
+    """m**1 .. m**bound, each power the bool_product of the one before and m."""
+    powers = [m]
+    for _ in range(wielandt_bound(m.n) - 1):
+        powers.append(bool_product(powers[-1], m))
+    return powers
 
 
 class TestBoolProduct:
@@ -131,11 +139,17 @@ class TestGeneralMatrices:
 
     @given(general_matrices(8))
     @settings(deadline=None)
-    def test_power_trace_matches_naive_powers(self, m):
-        trace = PowerTrace.compute(m)
-        expected = naive_powers(m)
-        assert len(trace.powers) == len(expected)
-        assert all(trace.power(k).to_lists() == p for k, p in enumerate(expected, 1))
+    def test_bool_product_chain_matches_naive_powers(self, m):
+        assert [p.to_lists() for p in product_chain(m)] == naive_powers(m)
+
+    @given(general_matrices(16))
+    @example(BoolMatrix(1, (0,)))
+    @example(BoolMatrix(1, (1,)))
+    @example(BoolMatrix(2, (0b10, 0b01)))
+    @example(BoolMatrix(2, (0b10, 0b11)))
+    @settings(deadline=None)
+    def test_positive_power_by_squaring_matches_power_at_bound(self, m):
+        assert has_positive_power(m) == product_chain(m)[-1].is_all_ones
 
     @given(general_matrices(6))
     @settings(max_examples=60, deadline=None)
@@ -251,23 +265,38 @@ class TestWalkSemantics:
             for row in irreducible_rows(n):
                 m = companion_matrix(CompanionSpec(n, row))
                 entries = m.to_lists()
-                trace = PowerTrace.compute(m)
-                for k in range(1, wielandt_bound(n) + 1):
-                    power = trace.power(k)
+                for k, power in enumerate(product_chain(m), 1):
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
                             assert bool(power.entry(i, j)) == walk_exists(entries, i, j, k)
-
-    def test_power_trace_bounds(self):
-        trace = PowerTrace.compute(companion_matrix(CompanionSpec(4, "1110")))
-        assert len(trace.powers) == wielandt_bound(4)
-        assert trace.power(wielandt_bound(4)).is_all_ones
-        with pytest.raises(ValueError):
-            trace.power(0)
-        with pytest.raises(ValueError):
-            trace.power(wielandt_bound(4) + 1)
 
     def test_table_type(self):
         table = local_exponent_table(companion_matrix(CompanionSpec(4, "1110")))
         assert isinstance(table, LocalExponentTable)
         assert table.n == 4
+
+
+class TestOrderCaps:
+    """Each oracle path refuses orders above its cap before doing any work."""
+
+    @staticmethod
+    def wielandt(n):
+        return companion_matrix(CompanionSpec(n, "11" + "0" * (n - 2)))
+
+    def test_powering_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
+        assert oracle_exponent(self.wielandt(8)) == wielandt_bound(8)
+        assert local_exponent_table(self.wielandt(8)).get(1, 1) == wielandt_bound(8)
+        for call in (oracle_exponent, local_exponent_table):
+            with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
+                call(self.wielandt(9))
+
+    def test_row_walk_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ROW_WALK_ORDER", 8)
+        assert row_exponent(self.wielandt(8), 1) == local_exponent(self.wielandt(8), 1, 1) == wielandt_bound(8)
+        for call in (lambda m: row_exponent(m, 1), lambda m: local_exponent(m, 1, 1)):
+            with pytest.raises(ValueError, match="MAX_ROW_WALK_ORDER"):
+                call(self.wielandt(9))
+
+    def test_caps_stay_above_the_benchmarked_orders(self):
+        assert min(oracle.MAX_POWERING_ORDER, oracle.MAX_ROW_WALK_ORDER) > 64
