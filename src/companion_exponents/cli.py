@@ -58,15 +58,15 @@ def _cmd_local_exp(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    outdir = Path(os.environ.get(OUTDIR_ENV, "."))
+    path = Path(args.out) if args.out else outdir / f"census_n{args.n}.{args.format}"
+    if not path.parent.is_dir():  # refused before the walk; the write below still turns any OSError into exit 2
+        raise ValueError(f"cannot write {path}: no such directory {path.parent}")
     try:
         record = counting.census(args.n, check_oracle=args.check_oracle)
     except DispatchMismatchError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    if args.out:
-        path = Path(args.out)
-    else:
-        path = Path(os.environ.get(OUTDIR_ENV, ".")) / f"census_n{args.n}.{args.format}"
     text = record.to_csv() if args.format == "csv" else record.to_json()
     try:
         path.write_text(text)

@@ -298,11 +298,12 @@ def _walk(n: int) -> dict[int, int]:
     sorted.
     """
     everything = (1 << (1 << (n - 1))) - 1
-    support = []
+    support, mask = [], everything
     for c in range(2, n + 1):
-        half = 1 << (n - c)
-        # rows with bit n - c of y set: runs of `half` ones after as many zeros
-        support.append(everything // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+        # rows with bit n - c of y set: runs of h = 2**(n - c) ones after as
+        # many zeros, from the previous mask's runs of 2h XOR their shift by h
+        mask ^= mask >> (1 << (n - c))
+        support.append(mask)
     reach = [0] * (n - 1) + [everything]
     done = 0
     masks: dict[int, int] = {}

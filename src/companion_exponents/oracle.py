@@ -2,12 +2,13 @@
 
 Powers are taken over the boolean semiring (1 + 1 = 1), so entry (i, j) of
 the k-th power is 1 exactly when the digraph has an i -> j walk of length
-k.  Every scan is cut off at the Wielandt bound (n-1)**2 + 1: a primitive
-matrix turns all-positive by then, so reaching the cutoff without an
-all-positive power certifies the matrix is not primitive, with no
-probabilistic slack.  Powering refuses orders above MAX_POWERING_ORDER
-and the row walk orders above MAX_ROW_WALK_ORDER; the worst case of
-each, the Wielandt row 11 0..0, takes about 1 s at its cap.
+k.  Every scan stops at the first all-positive power or row: a primitive
+matrix has no zero column, so every later power or row is all-positive
+too.  The Wielandt bound (n-1)**2 + 1 only certifies non-primitivity: a
+primitive matrix turns all-positive by then, so a power sequence that
+reaches it without one proves the matrix is not primitive.  `_powers` is
+the one place that decides this by powering.  Powering refuses orders
+above MAX_POWERING_ORDER and the row walk orders above MAX_ROW_WALK_ORDER.
 
 Internally a matrix of order n is packed into one int, with row i
 (1-based) in the n-bit slot at bits (i-1)n .. in-1, and every product
@@ -31,7 +32,7 @@ from typing import Iterator, Sequence
 from .core import BoolMatrix, wielandt_bound
 
 MAX_POWERING_ORDER = 86  # exponent, local_exponent_table: up to (n-1)**2 + 1 products of packed matrices
-MAX_ROW_WALK_ORDER = 180  # local_exponent, row_exponent: one row stepped (n-1)**2 + 1 times
+MAX_ROW_WALK_ORDER = 180  # local_exponent, row_exponent: one row stepped up to (n-1)**2 + 1 times
 
 
 class NotPrimitiveError(ValueError):
@@ -61,14 +62,18 @@ def _times(p: int, rows: Sequence[int], slots: int) -> int:
 
 
 def _powers(m: BoolMatrix) -> Iterator[int]:
-    """Packed m**1, m**2, .., m**bound, one product per step; refused above MAX_POWERING_ORDER."""
+    """Packed m**1, m**2, .. up to the first all-positive power, one product per step;
+    NotPrimitiveError if the Wielandt bound passes first, ValueError above MAX_POWERING_ORDER."""
     if m.n > MAX_POWERING_ORDER:
         raise ValueError(f"order {m.n} above MAX_POWERING_ORDER = {MAX_POWERING_ORDER}")
+    full = (1 << (m.n * m.n)) - 1
     slots = _slots(m.n)
-    power = _pack(m)
+    power, length = _pack(m), 1
     yield power
-    for _ in range(wielandt_bound(m.n) - 1):
-        power = _times(power, m.rows, slots)
+    while power != full:
+        if length == wielandt_bound(m.n):
+            raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {length}")
+        power, length = _times(power, m.rows, slots), length + 1
         yield power
 
 
@@ -103,29 +108,25 @@ def _check_vertex(m: BoolMatrix, i: int) -> None:
 
 
 def exponent(m: BoolMatrix) -> int:
-    """Smallest k with m**k all-positive, found by direct powering.
+    """Smallest k with m**k all-positive: the length of the power sequence.
 
     Raises NotPrimitiveError when no power up to the Wielandt bound is
-    all-positive (and hence none at all), and ValueError for orders
-    above MAX_POWERING_ORDER.
+    all-positive (and hence none is), ValueError above MAX_POWERING_ORDER.
     """
-    full = (1 << (m.n * m.n)) - 1
-    for k, power in enumerate(_powers(m), 1):
-        if power == full:
-            return k
-    raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {wielandt_bound(m.n)}")
+    return sum(1 for _ in _powers(m))
 
 
 def _settles(m: BoolMatrix, i: int, want: int) -> int:
     """Smallest k such that walks from i of every length >= k reach all of `want`:
-    one past the last length up to the Wielandt bound whose walk misses some of it."""
+    one past the last length whose walk misses some, stepping row i until it is full."""
     if m.n > MAX_ROW_WALK_ORDER:
         raise ValueError(f"order {m.n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
     if not has_positive_power(m):
         raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
-    walk, settles = 1 << (i - 1), 1
-    for length in range(1, wielandt_bound(m.n) + 1):
-        walk = _times(walk, m.rows, 1)
+    full = (1 << m.n) - 1
+    walk, length, settles = 1 << (i - 1), 0, 1
+    while walk != full:
+        walk, length = _times(walk, m.rows, 1), length + 1
         if walk & want != want:
             settles = length + 1
     return settles
@@ -158,17 +159,15 @@ class LocalExponentTable:
 def local_exponent_table(m: BoolMatrix) -> LocalExponentTable:
     """Tabulate all local exponents from one packed power sequence.
 
-    The powers m**bound .. m**1 are scanned downward; an entry's local
+    The powers m**exp .. m**1 are scanned downward; an entry's local
     exponent is one past the first length, from the top, at which it is
-    missing, and `pending` holds the entries not yet seen missing.  The
-    top power doubles as the primitivity test.  Raises ValueError for
-    orders above MAX_POWERING_ORDER.
+    missing, and `pending` holds the entries not yet seen missing.
+    Raises NotPrimitiveError like `exponent`, and ValueError for orders
+    above MAX_POWERING_ORDER.
     """
     n = m.n
     powers = list(_powers(m))
     pending = (1 << (n * n)) - 1
-    if powers[-1] != pending:
-        raise NotPrimitiveError(f"matrix of order {n} is not primitive")
     values = [1] * (n * n)
     for length in range(len(powers), 0, -1):
         missing = pending & ~powers[length - 1]

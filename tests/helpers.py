@@ -2,9 +2,11 @@
 
 Nothing here reuses library internals: products are triple loops over
 nested lists, cycle enumeration goes through networkx, walk checks step
-frontier sets, representability does a bounded coefficient search, and
-string statistics are measured on explicitly enumerated strings or by a
-bit-by-bit scan of every string at once.
+frontier sets, companion exponents come from a per-row reach-set walk,
+the census walk builds its support masks by division, representability
+does a bounded coefficient search, and string statistics are measured on
+explicitly enumerated strings or by a bit-by-bit scan of every string at
+once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,71 @@ def stabilization_point(entries: list[list[int]], i: int, j: int, horizon: int) 
     """Smallest k with i -> j walks at every length in [k, horizon], by frontier stepping."""
     missing = [L for L in range(1, horizon + 1) if not walk_exists(entries, i, j, L)]
     return missing[-1] + 1 if missing else 1
+
+
+def reach_sets_from_last(row: str):
+    """Reach sets of the walks of length 0, 1, .. from vertex n, up to the first full one.
+
+    Bit v - 1 stands for vertex v: vertex v < n steps to v + 1, and vertex
+    n steps to every support column of the row.  Raises ValueError when no
+    set within (n-1)**2 + 1 steps is full, i.e. the row is not primitive.
+    """
+    n = len(row)
+    full = (1 << n) - 1
+    support = int(row[::-1], 2)
+    reach = 1 << (n - 1)
+    for _ in range((n - 1) ** 2 + 1):
+        yield reach
+        if reach == full:
+            return
+        reach = ((reach << 1) & full) | (support if reach >> (n - 1) else 0)
+    raise ValueError(f"row {row} is not primitive")
+
+
+def structural_exponent(row: str) -> int:
+    """n - 1 + the first k at which the reach set from vertex n is full.
+
+    A walk from vertex i is forced for n - i steps to vertex n, so row 1
+    fills last, n - 1 steps after the walk from n.
+    """
+    k = sum(1 for _ in reach_sets_from_last(row)) - 1
+    return len(row) - 1 + k
+
+
+def local_exponent_from_last(row: str, j: int) -> int:
+    """exp(n -> j): one past the last walk length from vertex n that misses j (0 if none does)."""
+    sets = reach_sets_from_last(row)
+    return max((k + 1 for k, reach in enumerate(sets) if not reach >> (j - 1) & 1), default=0)
+
+
+def division_census_walk(n: int) -> dict[int, int]:
+    """Exponent -> mask of the primitive rows of order n attaining it, support masks by division.
+
+    The reference for the census walk, which builds the same masks by
+    shifts: bit y stands for the row "1" + (n-1 bits of y), reach[v] holds
+    the rows whose walks of length k from vertex n can end at vertex v + 1,
+    and a row gets exponent n - 1 + k at the first k its reach set is full.
+    """
+    everything = (1 << (1 << (n - 1))) - 1
+    support = []
+    for c in range(2, n + 1):
+        half = 1 << (n - c)
+        # rows with bit n - c of y set: runs of `half` ones after as many zeros
+        support.append(everything // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    reach = [0] * (n - 1) + [everything]
+    done = 0
+    masks: dict[int, int] = {}
+    for k in range(1, (n - 1) ** 2 + 1 - n + 2):
+        last = reach[-1]
+        reach = [last] + [prev | (last & sup) for prev, sup in zip(reach, support)]
+        full = everything
+        for r in reach:
+            full &= r
+        new = full & ~done
+        if new:
+            masks[n - 1 + k] = new
+            done |= new
+    return masks
 
 
 def digraph_cycle_lengths(entries: list[list[int]]) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from companion_exponents import CompanionSpec, companion_matrix, formulas, oracle, verify
+from companion_exponents import CompanionSpec, companion_matrix, counting, formulas, oracle, verify
 from companion_exponents.counting import (
     MAX_CENSUS_ORDER,
     MAX_CHECKED_CENSUS_ORDER,
@@ -210,11 +210,14 @@ class TestCensusCommand:
         code, _, _ = run(capsys, "census", "2")
         assert code == 2
 
-    def test_out_into_missing_directory_exit_two(self, capsys, tmp_path):
+    def test_out_into_missing_directory_exit_two(self, capsys, tmp_path, monkeypatch):
         out_path = tmp_path / "missing" / "x.csv"
+        calls = []
+        monkeypatch.setattr(counting, "census", lambda *args, **kwargs: calls.append(args))
         code, out, err = run(capsys, "census", "5", "--out", str(out_path))
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and str(out_path) in err
+        assert calls == []  # refused before the walk
 
 
 class TestCountImprimitive:

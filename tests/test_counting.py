@@ -28,7 +28,7 @@ from companion_exponents import (
     two_coprime_exponent_claim,
     vertex_partition,
 )
-from companion_exponents import formulas, oracle
+from companion_exponents import counting, formulas, oracle
 from companion_exponents.counting import (
     MAX_IMPRIMITIVE_LIST_ORDER,
     MAX_IMPRIMITIVE_ORDER,
@@ -37,6 +37,7 @@ from companion_exponents.counting import (
 )
 from helpers import (
     binary_strings,
+    division_census_walk,
     irreducible_rows,
     longest_zero_run,
     longest_zero_run_histograms,
@@ -401,6 +402,11 @@ class TestCensus:
         for n in range(3, 13):
             census(n, check_oracle=True)
         assert calls == {n: count_primitive(n) for n in range(3, 13)}
+
+    @pytest.mark.parametrize("n", (17, 18, 19))
+    def test_walk_matches_division_masks(self, n):
+        # the census digests pin orders up to 16; above that the reference walk does
+        assert counting._walk(n) == division_census_walk(n)
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_imprimitive_count_matches_inclusion_exclusion(self, census_cache, n):

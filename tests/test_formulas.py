@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from companion_exponents import (
@@ -89,6 +89,51 @@ def zero_trace_primitive_specs(draw, max_n=24):
         # force a cycle of length n - 1, coprime to the length-n cycle
         spec = CompanionSpec(n, "11" + spec.row_string[2:])
     return spec
+
+
+@st.composite
+def rule_shaped_rows(draw, min_order, max_order):
+    """Rows shaped toward each rule: a loop at n, a 2-cycle, one extra support vertex, or a long zero run at 2."""
+    n = draw(st.integers(min_order, max_order))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def filler(length):
+        return format(rng.getrandbits(length), f"0{length}b")
+
+    shape = draw(st.sampled_from(("loop", "two_cycle", "one_extra", "prefix_run")))
+    if shape == "loop":
+        return "1" + filler(n - 2) + "1"
+    if shape == "two_cycle":
+        return "1" + filler(n - 3) + "10"
+    if shape == "one_extra":
+        i = draw(st.integers(2, n - 1))
+        return "1" + "0" * (i - 2) + "1" + "0" * (n - i)
+    run = draw(st.integers(6, 16))
+    return "1" + "0" * run + filler(n - run - 2) + "0"
+
+
+class TestRulesPastPowering:
+    """Every rule against the per-row reach-set walk of tests/helpers.py, at orders powering cannot reach."""
+
+    @pytest.mark.parametrize("row, rule", [
+        ("1" + "01" * 299 + "1", RULE_POSITIVE_TRACE),
+        ("1" + "0" * 592 + "1" + "0" * 6, RULE_TWO_CYCLES),
+        ("1" + "0" * 596 + "110", RULE_SMALLEST_CYCLE_2),
+        ("1" + "0" * 20 + "10" * 289 + "0", RULE_BLOCK_V1_PREFIX),
+    ])
+    def test_each_rule_at_order_600(self, row, rule):
+        report = exponent(CompanionSpec(600, row), allow_oracle=False)
+        assert (report.rule, report.value) == (rule, helpers.structural_exponent(row))
+
+    @given(rule_shaped_rows(65, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_rule_value_equals_structural_walk(self, row):
+        try:
+            report = exponent(CompanionSpec(len(row), row), allow_oracle=False)
+        except (PreconditionError, NotPrimitiveError):
+            assume(False)
+        event(report.rule)
+        assert report.value == helpers.structural_exponent(row)
 
 
 class TestReportsPinned:

@@ -1,4 +1,6 @@
-"""Boolean powering oracle: products, exponents, local exponents, order caps."""
+"""Boolean powering oracle: products, exponents, local exponents, stopping rule, order caps."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,14 @@ from companion_exponents import (
     row_exponent,
     wielandt_bound,
 )
-from helpers import irreducible_rows, naive_bool_product, stabilization_point, walk_exists
+from helpers import (
+    irreducible_rows,
+    local_exponent_from_last,
+    naive_bool_product,
+    stabilization_point,
+    structural_exponent,
+    walk_exists,
+)
 
 
 matrices = st.integers(1, 16).flatmap(
@@ -55,6 +64,24 @@ def general_matrices(draw, max_order):
         for a, b in zip(order, order[1:] + order[:1]):
             rows[a] |= 1 << b
     return BoolMatrix(n, tuple(rows))
+
+
+@st.composite
+def primitive_companion_rows(draw, min_order, max_order):
+    """Irreducible primitive rows; a drawn row that is not primitive gets a cycle of length n - 1."""
+    n = draw(st.integers(min_order, max_order))
+    row = "1" + format(draw(st.integers(0, (1 << (n - 1)) - 1)), f"0{n - 1}b")
+    if not is_primitive(CompanionSpec(n, row)):
+        row = "11" + row[2:]
+    return row
+
+
+def primitive_specs(orders):
+    for n in orders:
+        for row in irreducible_rows(n):
+            spec = CompanionSpec(n, row)
+            if is_primitive(spec):
+                yield spec
 
 
 def naive_powers(m):
@@ -274,6 +301,81 @@ class TestWalkSemantics:
         table = local_exponent_table(companion_matrix(CompanionSpec(4, "1110")))
         assert isinstance(table, LocalExponentTable)
         assert table.n == 4
+
+
+class TestStoppingRule:
+    """Every scan stops at the first all-positive power or row; only non-primitive input reaches the bound."""
+
+    @staticmethod
+    def count_products(mp):
+        """Count oracle._times calls: matrix products, and row steps (one-slot products, orders >= 2)."""
+        calls = Counter()
+        real = oracle._times
+
+        def counted(p, rows, slots):
+            calls["row" if slots == 1 else "matrix"] += 1
+            return real(p, rows, slots)
+
+        mp.setattr(oracle, "_times", counted)
+        return calls
+
+    @given(general_matrices(10))
+    @settings(deadline=None)
+    def test_exponent_takes_exp_minus_one_products(self, m):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_products(mp)
+            try:
+                value = oracle_exponent(m)
+            except NotPrimitiveError:
+                value = wielandt_bound(m.n)  # the sequence runs to the bound to certify it
+            assert sum(calls.values()) == value - 1
+
+    def test_table_holds_exp_powers(self, monkeypatch):
+        real = oracle._powers
+        held = []
+
+        def recorded(m):
+            held.clear()
+            for power in real(m):
+                held.append(power)
+                yield power
+
+        monkeypatch.setattr(oracle, "_powers", recorded)
+        for spec in primitive_specs(range(2, 8)):
+            m = companion_matrix(spec)
+            local_exponent_table(m)
+            assert len(held) == oracle_exponent(m)
+
+    def test_row_walk_stops_when_the_row_fills(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        for spec in primitive_specs(range(2, 8)):
+            m = companion_matrix(spec)
+            for i in range(1, spec.n + 1):
+                settled = row_exponent(m, i)
+                calls.clear()
+                local_exponent(m, i, 1)
+                assert calls["row"] == settled
+
+
+class TestStructuralWalk:
+    """The per-row reach-set walk of tests/helpers.py against powering."""
+
+    def test_exponent_matches_powering(self):
+        for spec in primitive_specs(range(3, 11)):
+            assert structural_exponent(spec.row_string) == oracle_exponent(companion_matrix(spec))
+
+    def test_imprimitive_row_refused(self):
+        with pytest.raises(ValueError):
+            structural_exponent("10101010")
+
+    @given(primitive_companion_rows(17, 64), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_local_exponent_is_forced_steps_plus_walk_from_n(self, row, data):
+        # a walk from i < n is forced for n - i steps, to vertex n
+        n = len(row)
+        i, j = (data.draw(st.integers(1, n)) for _ in range(2))
+        m = companion_matrix(CompanionSpec(n, row))
+        assert local_exponent(m, i, j) == max(1, (n - i) + local_exponent_from_last(row, j))
 
 
 class TestOrderCaps:
