@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from . import formulas, oracle
 from ._version import __version__
-from .core import CompanionSpec, companion_matrix, wielandt_bound
+from .core import CompanionSpec, wielandt_bound
 from .frobenius import conductor
 
 MAX_CENSUS_ORDER = 20
-MAX_CHECKED_CENSUS_ORDER = 14  # census with check_oracle: one oracle powering per primitive row takes about 1 s
+MAX_CHECKED_CENSUS_ORDER = 15  # census with check_oracle: under 1 s, mostly making each row's spec and trying rules
 MAX_STRING_TABLE_LENGTH = 76  # longest length for f_strings: the table takes about 1 s
 MAX_RUN_AVOIDING_LENGTH = 14_000  # longest length for t_runs: 2**n has at most 4300 digits
 MAX_IMPRIMITIVE_ORDER = 28_000  # the count stays below 2**(n/2), which prints in at most 4300 digits
@@ -320,15 +320,25 @@ def _walk(n: int) -> dict[int, int]:
     return masks
 
 
+def powered_census(n: int) -> dict[int, int]:
+    """`_walk`'s masks by the oracle: every irreducible row's companion matrix in one
+    bit-sliced batch, bit y for the row "1" + (n-1 bits of y), read off the row strings."""
+    width, everything = n - 1, (1 << (1 << (n - 1))) - 1
+    columns = zip(*(format(y, f"0{width}b") for y in reversed(range(1 << width))))
+    shift = [[everything if j == i + 1 else 0 for j in range(n)] for i in range(width)]
+    return oracle.batch_exponents(shift + [[everything] + [int("".join(column), 2) for column in columns]])
+
+
 def census(n: int, check_oracle: bool = False) -> CensusRecord:
     """Enumerate all 2**(n-1) irreducible specs of order n and aggregate exponents.
 
     The exponents come from one bit-sliced reach-set walk over every row
-    at once.  With check_oracle=True each primitive row is also powered
-    once by the oracle and tried on the closed-form rules (no oracle
-    fallback); DispatchMismatchError is raised unless the oracle value and
-    the rule value, where a rule applies, both equal the walk value.
-    That check is refused above MAX_CHECKED_CENSUS_ORDER.
+    at once.  With check_oracle=True every row is also powered, in one
+    `powered_census` batch, and each primitive row tried on the closed-form
+    rules (no oracle fallback); DispatchMismatchError is raised unless the
+    oracle value and the rule value, where a rule applies, both equal the
+    walk value, and the oracle finds no other primitive row.  That check
+    is refused above MAX_CHECKED_CENSUS_ORDER.
     """
     if not 3 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"order must be in [3, MAX_CENSUS_ORDER = {MAX_CENSUS_ORDER}], got {n}")
@@ -342,12 +352,14 @@ def census(n: int, check_oracle: bool = False) -> CensusRecord:
         return "1" + format(y, f"0{width}b")
 
     if check_oracle:
+        powered = powered_census(n)
+        agree = powered == masks
         for value, mask in masks.items():
             bits = format(mask, "b")[::-1]
             y = bits.find("1")
             while y >= 0:
                 spec = CompanionSpec(n, row(y))
-                true_exp = oracle.exponent(companion_matrix(spec))
+                true_exp = value if agree else next((e for e, m in powered.items() if m >> y & 1), None)
                 try:
                     report = formulas.exponent(spec, allow_oracle=False)
                     rule_value, ruled = report.value, f"dispatch rule {report.rule} gave {report.value}"
@@ -357,6 +369,11 @@ def census(n: int, check_oracle: bool = False) -> CensusRecord:
                     raise DispatchMismatchError(
                         f"walk gave {value}, {ruled}, oracle gave {true_exp} for spec {n} {spec.row_string}")
                 y = bits.find("1", y + 1)
+        for e, mask in powered.items():  # rows the walk left out are all that can differ here
+            extra = mask & ~masks.get(e, 0)
+            if extra:
+                y = (extra & -extra).bit_length() - 1
+                raise DispatchMismatchError(f"walk gave no exponent, oracle gave {e} for spec {n} {row(y)}")
     histogram = {e: mask.bit_count() for e, mask in masks.items()}
     return CensusRecord(
         n=n,

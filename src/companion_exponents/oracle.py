@@ -10,23 +10,29 @@ reaches it without one proves the matrix is not primitive.  `_powers` is
 the one place that decides this by powering.  Powering refuses orders
 above MAX_POWERING_ORDER and the row walk orders above MAX_ROW_WALK_ORDER.
 
-Internally a matrix of order n is packed into one int, with row i
-(1-based) in the n-bit slot at bits (i-1)n .. in-1, and every product
-goes through one kernel:
+Two layouts each have a general boolean-semiring kernel with no
+companion structure, which keeps the oracle independent of the rules.
+Per-spec questions (`exp`, `local-exp`, the local-exponent table) pack
+one matrix of order n into one int, row i (1-based) in the n-bit slot at
+bits (i-1)n .. in-1, and every product is
 
     p . Y = OR_k ((p >> k) & slots) * Y.rows[k],   slots = sum_i 2**(i*n)
 
 `(p >> k) & slots` keeps bit 0 of each slot exactly when that row of p
 has column k set.  Every row of Y is below 2**n, so the multiply copies
 row k of Y into those slots and nowhere else, with no carry from one slot
-into the next.  A single row is a one-slot p, so the same kernel steps a
-row walk.  The kernel is a general boolean-semiring product; it uses no
-companion structure, which keeps the oracle independent of the rules.
+into the next; a single row is a one-slot p.  Questions about every row
+of an order (the census check, `verify`) bit-slice the batch instead, for
+`batch_exponents`: entry (i, j) is one int with bit r for matrix r, so
+one AND per nonzero entry steps every matrix at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import and_, or_
 from typing import Iterator, Sequence
 
 from .core import BoolMatrix, wielandt_bound
@@ -100,6 +106,35 @@ def has_positive_power(m: BoolMatrix) -> bool:
         power = _times(power, _unpack(power, n), slots)
         length *= 2
     return power == full
+
+
+def batch_exponents(m: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Exponent -> mask of the matrices attaining it, for a batch m bit-sliced so that entry (i, j)
+    holds bit r for matrix r: each step is P[i][j] = OR_l P[i][l] & m[l][j] over the nonzero m[l][j],
+    up to the Wielandt bound or until every matrix with a nonzero entry is all-positive; a matrix
+    that is not primitive is in no mask."""
+    n = len(m)
+    if n > MAX_POWERING_ORDER:
+        raise ValueError(f"order {n} above MAX_POWERING_ORDER = {MAX_POWERING_ORDER}")
+    everything = reduce(or_, chain(*m), 0)
+    columns = [[(l, e) for l, e in enumerate(column) if e] for column in zip(*m)]
+    power, done, masks = m, 0, {}
+    for length in range(1, wielandt_bound(n) + 1):
+        full = reduce(and_, chain(*power), everything)
+        if full != done:  # an all-positive power stays all-positive, so full holds done
+            masks[length], done = full & ~done, full
+        if done == everything:
+            break
+        previous, power = power, []
+        for p in previous:
+            row = []
+            for column in columns:
+                c = 0
+                for l, e in column:
+                    c |= p[l] & e
+                row.append(c)
+            power.append(row)
+    return masks
 
 
 def _check_vertex(m: BoolMatrix, i: int) -> None:

@@ -2,11 +2,12 @@
 
 Each family re-derives a batch of facts two independent ways (closed form
 against enumeration, gcd test against powering) and reports one PASS/FAIL
-line.  dispatch-soundness is the census's own three-way check: every
-primitive row's walk exponent against one oracle powering and against the
-closed-form rule, where one applies.  Families honor the requested maximum
-order but keep their own caps where the work grows too fast to be useful
-at the command line.
+line.  Powering is one bit-sliced batch per order (`counting.powered_census`),
+read by primitivity and local-exponent-maxima.  dispatch-soundness is the
+census's own three-way check: every primitive row's walk exponent against
+that batch and against the closed-form rule, where one applies.  Families
+honor the requested maximum order but keep their own caps where the work
+grows too fast to be useful at the command line.
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
     return CheckResult("cycle-structure", True, f"{checked} specs, walk counter to order {min(n_max, 6)}")
 
 
-def _check_primitivity(irreducible: _Specs, primitive: _Specs) -> CheckResult:
+def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: dict[int, dict[int, int]]) -> CheckResult:
     by_gcd = set().union(*primitive.values())
     checked = 0
-    for specs in irreducible.values():
-        for spec in specs:
-            if (spec in by_gcd) != oracle.has_positive_power(companion_matrix(spec)):
+    for n, specs in irreducible.items():
+        by_power = sum(powered[n].values())
+        for y, spec in enumerate(specs):
+            if (spec in by_gcd) != bool(by_power >> y & 1):
                 return CheckResult(
                     "primitivity", False,
                     f"gcd test and power test disagree on {spec.n} {spec.row_string}")
@@ -80,13 +82,14 @@ def _check_primitivity(irreducible: _Specs, primitive: _Specs) -> CheckResult:
     return CheckResult("primitivity", True, f"{checked} irreducible specs to order {max(irreducible)}")
 
 
-def _check_local_exponent_maxima(primitive: _Specs) -> CheckResult:
+def _check_local_exponent_maxima(primitive: _Specs, powered: dict[int, dict[int, int]]) -> CheckResult:
     checked = 0
     for n, specs in primitive.items():
         for spec in specs:
             m = companion_matrix(spec)
             table = oracle.local_exponent_table(m)
-            overall = oracle.exponent(m)
+            y = int(spec.row_string[1:], 2)
+            overall = next((e for e, mask in powered[n].items() if mask >> y & 1), None)
             max_local = max(table.get(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
             max_row = max(oracle.row_exponent(m, i) for i in range(1, n + 1))
             if not overall == max_local == max_row:
@@ -213,18 +216,19 @@ def _check_membership(records: _Records, primitive: _Specs) -> CheckResult:
 
 def run_all(n_max: int) -> list[CheckResult]:
     """Run every family up to the requested order (3 <= n_max <= 12), all of
-    them on one enumeration of each order's irreducible and primitive specs
-    and one unchecked census record per order."""
+    them on one enumeration of each order's irreducible and primitive specs,
+    one unchecked census record and one powered census batch per order."""
     if not 3 <= n_max <= 12:
         raise ValueError(f"n-max must be in [3, 12], got {n_max}")
     irreducible = {n: tuple(CompanionSpec(n, "1" + format(y, f"0{n - 1}b")) for y in range(1 << (n - 1)))
                    for n in range(3, n_max + 1)}
     primitive = {n: tuple(filter(is_primitive, specs)) for n, specs in irreducible.items()}
     records = {n: counting.census(n) for n in irreducible}
+    powered = {n: counting.powered_census(n) for n in irreducible}
     return [
         _check_cycle_structure(irreducible),
-        _check_primitivity(irreducible, primitive),
-        _check_local_exponent_maxima({n: primitive[n] for n in range(3, min(n_max, 8) + 1)}),
+        _check_primitivity(irreducible, primitive, powered),
+        _check_local_exponent_maxima({n: primitive[n] for n in range(3, min(n_max, 8) + 1)}, powered),
         _check_dispatch(n_max),
         _check_range_uniqueness(records),
         _check_conductors(),

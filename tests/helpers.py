@@ -3,7 +3,8 @@
 Nothing here reuses library internals: products are triple loops over
 nested lists, cycle enumeration goes through networkx, walk checks step
 frontier sets, companion exponents come from a per-row reach-set walk,
-the census walk builds its support masks by division, representability
+the census walk builds its support masks by division, batches are
+bit-sliced one matrix entry at a time, representability
 does a bounded coefficient search, and string statistics are measured on
 explicitly enumerated strings or by a bit-by-bit scan of every string at
 once.
@@ -105,6 +106,22 @@ def division_census_walk(n: int) -> dict[int, int]:
             masks[n - 1 + k] = new
             done |= new
     return masks
+
+
+def bit_slice(matrices) -> list[list[int]]:
+    """A batch of same-order BoolMatrix objects bit-sliced: entry (i, j) holds bit r
+    exactly when matrix r has entry (i + 1, j + 1), read one entry at a time."""
+    n = matrices[0].n
+    return [[sum(1 << r for r, m in enumerate(matrices) if m.entry(i, j)) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+
+
+def with_row_exponent(masks: dict[int, int], y: int, value: int | None) -> dict[int, int]:
+    """Exponent masks with row bit y moved to `value` (None: into no mask), sorted, empty masks dropped."""
+    out = {e: mask & ~(1 << y) for e, mask in masks.items()}
+    if value is not None:
+        out[value] = out.get(value, 0) | 1 << y
+    return {e: out[e] for e in sorted(out) if out[e]}
 
 
 def digraph_cycle_lengths(entries: list[list[int]]) -> tuple[int, ...]:

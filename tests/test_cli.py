@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from companion_exponents import CompanionSpec, companion_matrix, counting, formulas, oracle, verify
+from companion_exponents import counting, formulas, oracle, verify
 from companion_exponents.counting import (
     MAX_CENSUS_ORDER,
     MAX_CHECKED_CENSUS_ORDER,
@@ -25,9 +25,11 @@ from companion_exponents.counting import (
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
 from companion_exponents.oracle import MAX_POWERING_ORDER, MAX_ROW_WALK_ORDER
+from helpers import with_row_exponent
 
 # SHA-256 of `verify --n-max n` stdout, taken before dispatch-soundness became
-# a loop over the census check: its PASS lines must not change by a byte.
+# a loop over the census check (order 12: before powering became one batch per
+# order): its PASS lines must not change by a byte.
 VERIFY_STDOUT_DIGESTS = {
     3: "2c4883de5b6f4fed73132a3046bae27ccb969e67104fd91c3770796c7c9679ef",
     4: "73c7c64f75bfac1da6ec657842d0d430434c1b0589f3980b40935bc2ad1d3140",
@@ -38,6 +40,7 @@ VERIFY_STDOUT_DIGESTS = {
     9: "fff130f6546a5d3bb7ead85d841c5d972c928d166a50312ebc64c50524e3cc31",
     10: "a5f74ad7b433b26d0469168e0231105c4f81340119498f174a85d055998783c9",
     11: "9609328839c76cf402fb80085d128c4dffa1e8add180334fb9f7c2a467714b83",
+    12: "348de8951d7409c41b5aec7dbf0a00f51ca8f044f30442ff17aaf742c311fcba",
 }
 
 # SHA-256 of `count-imprimitive n --list` stdout, taken while the list was
@@ -430,10 +433,17 @@ class TestVerify:
             "FAIL dispatch-soundness: walk gave 26, dispatch rule TWO_CYCLES gave 27, "
             "oracle gave 26 for spec 6 110000"]
 
+    @staticmethod
+    def move_row(monkeypatch, row, value):
+        """Make the batch oracle give `value` for one row of its order."""
+        real = oracle.batch_exponents
+        y = int(row[1:], 2)
+        monkeypatch.setattr(
+            oracle, "batch_exponents",
+            lambda batch: with_row_exponent(real(batch), y, value) if len(batch) == len(row) else real(batch))
+
     def test_oracle_failure_on_uncovered_row_exit_four(self, capsys, monkeypatch):
-        real = oracle.exponent
-        uncovered = companion_matrix(CompanionSpec(6, "101100"))
-        monkeypatch.setattr(oracle, "exponent", lambda m: real(m) + (m == uncovered))
+        self.move_row(monkeypatch, "101100", 14)
         code, out, _ = run(capsys, "verify", "--n-max", "6")
         assert code == 4
         assert ("FAIL dispatch-soundness: walk gave 13, no closed-form rule applies, "
@@ -446,13 +456,28 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_DIGESTS[n_max]
 
     def test_primitivity_failure_exit_four(self, capsys, monkeypatch):
-        real = oracle.has_positive_power
-        imprimitive = companion_matrix(CompanionSpec(6, "100100"))
-        monkeypatch.setattr(oracle, "has_positive_power", lambda m: real(m) != (m == imprimitive))
+        # the census check shares the batch, so dispatch-soundness sees the extra row too
+        self.move_row(monkeypatch, "100100", 13)
         code, out, _ = run(capsys, "verify", "--n-max", "6")
         assert code == 4
         assert self.failed_families(out) == [
-            "FAIL primitivity: gcd test and power test disagree on 6 100100"]
+            "FAIL primitivity: gcd test and power test disagree on 6 100100",
+            "FAIL dispatch-soundness: walk gave no exponent, oracle gave 13 for spec 6 100100"]
+
+    def test_no_per_spec_powering_outside_local_exponent_maxima(self, monkeypatch):
+        # dispatch-soundness and primitivity read the batch; local-exponent-maxima
+        # (orders 3..8) proves primitivity once per row_exponent call, one per vertex
+        calls = Counter()
+        for name in ("exponent", "has_positive_power"):
+            real = getattr(oracle, name)
+
+            def counted(m, name=name, real=real):
+                calls[name, m.n] += 1
+                return real(m)
+
+            monkeypatch.setattr(oracle, name, counted)
+        assert all(result.passed for result in verify.run_all(11))
+        assert calls == {("has_positive_power", n): n * counting.count_primitive(n) for n in range(3, 9)}
 
     def test_specs_enumerated_once_per_order(self, monkeypatch):
         calls = Counter()

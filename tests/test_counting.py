@@ -37,11 +37,13 @@ from companion_exponents.counting import (
 )
 from helpers import (
     binary_strings,
+    bit_slice,
     division_census_walk,
     irreducible_rows,
     longest_zero_run,
     longest_zero_run_histograms,
     row_cycle_gcd,
+    with_row_exponent,
 )
 
 KNOWN_IMPRIMITIVE_TAILS_8 = {
@@ -366,7 +368,7 @@ class TestCensus:
             census(n, check_oracle=True)
 
     def test_check_oracle_mismatch_raises(self, monkeypatch):
-        real_rules, real_oracle = formulas.exponent, oracle.exponent
+        real_rules, real_oracle = formulas.exponent, oracle.batch_exponents
 
         def bumped(spec, allow_oracle=True):
             report = real_rules(spec, allow_oracle)
@@ -377,31 +379,62 @@ class TestCensus:
                            match="walk gave 6, dispatch rule POSITIVE_TRACE gave 7, oracle gave 6 "):
             census(6, check_oracle=True)
         # rules and oracle agree, the walk does not
-        monkeypatch.setattr(oracle, "exponent", lambda matrix: real_oracle(matrix) + 1)
+        monkeypatch.setattr(oracle, "batch_exponents",
+                            lambda batch: {e + 1: mask for e, mask in real_oracle(batch).items()})
         with pytest.raises(DispatchMismatchError,
                            match="walk gave 6, dispatch rule POSITIVE_TRACE gave 7, oracle gave 7 "):
             census(6, check_oracle=True)
 
+    @staticmethod
+    def move_row(monkeypatch, row, value):
+        """Make the batch oracle give `value` (None: not primitive) for one order-6 row."""
+        real = oracle.batch_exponents
+        y = int(row[1:], 2)
+        monkeypatch.setattr(oracle, "batch_exponents", lambda batch: with_row_exponent(real(batch), y, value))
+
     def test_check_oracle_compares_uncovered_rows_with_walk(self, monkeypatch):
-        real = oracle.exponent
-        uncovered = companion_matrix(CompanionSpec(6, "101100"))
-        monkeypatch.setattr(oracle, "exponent", lambda m: real(m) + (m == uncovered))
+        self.move_row(monkeypatch, "101100", 14)
         with pytest.raises(DispatchMismatchError,
                            match="^walk gave 13, no closed-form rule applies, oracle gave 14 for spec 6 101100$"):
             census(6, check_oracle=True)
 
+    def test_check_oracle_row_powering_calls_imprimitive(self, monkeypatch):
+        self.move_row(monkeypatch, "101100", None)
+        with pytest.raises(DispatchMismatchError,
+                           match="^walk gave 13, no closed-form rule applies, oracle gave None for spec 6 101100$"):
+            census(6, check_oracle=True)
+
+    def test_check_oracle_row_only_powering_calls_primitive(self, monkeypatch):
+        self.move_row(monkeypatch, "100100", 13)
+        with pytest.raises(DispatchMismatchError,
+                           match="^walk gave no exponent, oracle gave 13 for spec 6 100100$"):
+            census(6, check_oracle=True)
+
     def test_check_oracle_powers_each_row_once(self, monkeypatch):
+        # one batch powering per order, and no oracle.exponent or has_positive_power call
         calls = Counter()
-        real = oracle.exponent
+        real = oracle.batch_exponents
 
-        def counted(m):
-            calls[m.n] += 1
-            return real(m)
+        def counted(batch):
+            calls["batch", len(batch)] += 1
+            return real(batch)
 
-        monkeypatch.setattr(oracle, "exponent", counted)
+        monkeypatch.setattr(oracle, "batch_exponents", counted)
+        for name in ("exponent", "has_positive_power"):
+            monkeypatch.setattr(oracle, name, lambda m, name=name: calls.update([(name, m.n)]))
         for n in range(3, 13):
             census(n, check_oracle=True)
-        assert calls == {n: count_primitive(n) for n in range(3, 13)}
+        assert calls == {("batch", n): 1 for n in range(3, 13)}
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_powered_census_matches_walk(self, n):
+        assert counting.powered_census(n) == counting._walk(n)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_powered_census_matches_batch_of_companion_matrices(self, n):
+        # the row-string batch against one built entry by entry from each companion matrix
+        matrices = [companion_matrix(CompanionSpec(n, row)) for row in irreducible_rows(n)]
+        assert counting.powered_census(n) == oracle.batch_exponents(bit_slice(matrices))
 
     @pytest.mark.parametrize("n", (17, 18, 19))
     def test_walk_matches_division_masks(self, n):

@@ -23,6 +23,7 @@ from companion_exponents import (
     wielandt_bound,
 )
 from helpers import (
+    bit_slice,
     irreducible_rows,
     local_exponent_from_last,
     naive_bool_product,
@@ -42,15 +43,15 @@ matrices = st.integers(1, 16).flatmap(
 
 
 @st.composite
-def general_matrices(draw, max_order):
-    """Random matrices of order 1..max_order, often on a random n-cycle.
+def general_matrices(draw, max_order, min_order=1):
+    """Random matrices of order min_order..max_order, often on a random n-cycle.
 
     Each row ANDs 1-4 random masks; half the time the edges of a random
     Hamiltonian cycle are added.  That mixes dense matrices, sparse
     strongly connected ones with long exponents, and imprimitive or
     reducible ones.
     """
-    n = draw(st.integers(1, max_order))
+    n = draw(st.integers(min_order, max_order))
     masks = st.integers(0, (1 << n) - 1)
     thin = draw(st.integers(1, 4))
     rows = []
@@ -195,6 +196,38 @@ class TestGeneralMatrices:
             expected = [stabilization_point(entries, i, j, bound) for j in range(1, n + 1)]
             assert list(table.values[i - 1]) == expected
             assert row_exponent(m, i) == max(expected)
+
+
+batches = st.integers(1, 8).flatmap(lambda n: st.lists(general_matrices(n, n), min_size=1, max_size=12))
+
+
+class TestBatchExponents:
+    """The bit-sliced batch kernel against per-matrix packed powering."""
+
+    @given(batches)
+    @example([BoolMatrix(1, (0,))])
+    @example([BoolMatrix(1, (1,))])
+    @example([BoolMatrix(1, (0,)), BoolMatrix(1, (1,))])
+    @example([BoolMatrix(2, (0b10, 0b01)), BoolMatrix(2, (0b10, 0b11)), BoolMatrix(2, (0b11, 0b00))])
+    @example([companion_matrix(CompanionSpec(8, "11000000"))])
+    @settings(deadline=None)
+    def test_matches_per_matrix_exponent(self, batch):
+        masks = oracle.batch_exponents(bit_slice(batch))
+        assert list(masks) == sorted(masks)
+        for r, m in enumerate(batch):
+            found = [e for e, mask in masks.items() if mask >> r & 1]
+            try:
+                assert found == [oracle_exponent(m)]
+            except NotPrimitiveError:
+                assert found == []
+        assert sum(masks.values()) < 1 << len(batch)
+
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
+        wielandt = [companion_matrix(CompanionSpec(n, "11" + "0" * (n - 2))) for n in (8, 9)]
+        assert oracle.batch_exponents(bit_slice(wielandt[:1])) == {wielandt_bound(8): 1}
+        with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
+            oracle.batch_exponents(bit_slice(wielandt[1:]))
 
 
 class TestLocalExponent:
