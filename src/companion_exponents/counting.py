@@ -329,6 +329,49 @@ def powered_census(n: int) -> dict[int, int]:
     return oracle.batch_exponents(shift + [[everything] + [int("".join(column), 2) for column in columns]])
 
 
+def _row(n: int, y: int) -> str:
+    """The irreducible row that bit y of a census mask stands for."""
+    return "1" + format(y, f"0{n - 1}b")
+
+
+def _check_exponents(n: int, masks: dict[int, int], powered: dict[int, int]) -> None:
+    """`census`'s check_oracle check of the walk masks of order n against a powered batch
+    and the closed-form rules, for callers that already hold both."""
+    agree = powered == masks
+    for value, mask in masks.items():
+        bits = format(mask, "b")[::-1]
+        y = bits.find("1")
+        while y >= 0:
+            spec = CompanionSpec(n, _row(n, y))
+            true_exp = value if agree else next((e for e, m in powered.items() if m >> y & 1), None)
+            try:
+                report = formulas.exponent(spec, allow_oracle=False)
+                rule_value, ruled = report.value, f"dispatch rule {report.rule} gave {report.value}"
+            except formulas.PreconditionError:
+                rule_value, ruled = value, "no closed-form rule applies"
+            if not value == rule_value == true_exp:
+                raise DispatchMismatchError(
+                    f"walk gave {value}, {ruled}, oracle gave {true_exp} for spec {n} {spec.row_string}")
+            y = bits.find("1", y + 1)
+    for e, mask in powered.items():  # rows the walk left out are all that can differ here
+        extra = mask & ~masks.get(e, 0)
+        if extra:
+            y = (extra & -extra).bit_length() - 1
+            raise DispatchMismatchError(f"walk gave no exponent, oracle gave {e} for spec {n} {_row(n, y)}")
+
+
+def _record(n: int, masks: dict[int, int]) -> CensusRecord:
+    """The census record of order n aggregated from its walk masks."""
+    histogram = {e: mask.bit_count() for e, mask in masks.items()}
+    return CensusRecord(
+        n=n,
+        histogram=histogram,
+        exponent_set=tuple(masks),
+        witnesses={e: _row(n, (mask & -mask).bit_length() - 1) for e, mask in masks.items()},
+        imprimitive_count=(1 << (n - 1)) - sum(histogram.values()),
+    )
+
+
 def census(n: int, check_oracle: bool = False) -> CensusRecord:
     """Enumerate all 2**(n-1) irreducible specs of order n and aggregate exponents.
 
@@ -346,39 +389,6 @@ def census(n: int, check_oracle: bool = False) -> CensusRecord:
         raise ValueError(
             f"order {n} above MAX_CHECKED_CENSUS_ORDER = {MAX_CHECKED_CENSUS_ORDER} for the oracle check")
     masks = _walk(n)
-    width = n - 1
-
-    def row(y: int) -> str:
-        return "1" + format(y, f"0{width}b")
-
     if check_oracle:
-        powered = powered_census(n)
-        agree = powered == masks
-        for value, mask in masks.items():
-            bits = format(mask, "b")[::-1]
-            y = bits.find("1")
-            while y >= 0:
-                spec = CompanionSpec(n, row(y))
-                true_exp = value if agree else next((e for e, m in powered.items() if m >> y & 1), None)
-                try:
-                    report = formulas.exponent(spec, allow_oracle=False)
-                    rule_value, ruled = report.value, f"dispatch rule {report.rule} gave {report.value}"
-                except formulas.PreconditionError:
-                    rule_value, ruled = value, "no closed-form rule applies"
-                if not value == rule_value == true_exp:
-                    raise DispatchMismatchError(
-                        f"walk gave {value}, {ruled}, oracle gave {true_exp} for spec {n} {spec.row_string}")
-                y = bits.find("1", y + 1)
-        for e, mask in powered.items():  # rows the walk left out are all that can differ here
-            extra = mask & ~masks.get(e, 0)
-            if extra:
-                y = (extra & -extra).bit_length() - 1
-                raise DispatchMismatchError(f"walk gave no exponent, oracle gave {e} for spec {n} {row(y)}")
-    histogram = {e: mask.bit_count() for e, mask in masks.items()}
-    return CensusRecord(
-        n=n,
-        histogram=histogram,
-        exponent_set=tuple(masks),
-        witnesses={e: row((mask & -mask).bit_length() - 1) for e, mask in masks.items()},
-        imprimitive_count=(1 << width) - sum(histogram.values()),
-    )
+        _check_exponents(n, masks, powered_census(n))
+    return _record(n, masks)

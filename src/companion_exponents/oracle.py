@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 from .core import BoolMatrix, wielandt_bound
 
 MAX_POWERING_ORDER = 86  # exponent, local_exponent_table: up to (n-1)**2 + 1 products of packed matrices
-MAX_ROW_WALK_ORDER = 180  # local_exponent, row_exponent: one row stepped up to (n-1)**2 + 1 times
+MAX_ROW_WALK_ORDER = 180  # local_exponent, row_exponent(s): one row stepped up to (n-1)**2 + 1 times
 
 
 class NotPrimitiveError(ValueError):
@@ -178,6 +178,22 @@ def row_exponent(m: BoolMatrix, i: int) -> int:
     """Smallest k such that row i of m**k (and of every later power) is all-positive."""
     _check_vertex(m, i)
     return _settles(m, i, (1 << m.n) - 1)
+
+
+def row_exponents(m: BoolMatrix) -> tuple[int, ...]:
+    """row_exponent(m, i) for i = 1..n, with one primitivity proof for the whole matrix:
+    each row is stepped until it is full, and an all-positive row stays all-positive."""
+    if m.n > MAX_ROW_WALK_ORDER:
+        raise ValueError(f"order {m.n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
+    if not has_positive_power(m):
+        raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
+    full, out = (1 << m.n) - 1, []
+    for i in range(m.n):
+        walk, length = 1 << i, 0
+        while walk != full:
+            walk, length = _times(walk, m.rows, 1), length + 1
+        out.append(max(length, 1))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,16 @@
 
 Each family re-derives a batch of facts two independent ways (closed form
 against enumeration, gcd test against powering) and reports one PASS/FAIL
-line.  Powering is one bit-sliced batch per order (`counting.powered_census`),
-read by primitivity and local-exponent-maxima.  dispatch-soundness is the
-census's own three-way check: every primitive row's walk exponent against
-that batch and against the closed-form rule, where one applies.  Families
-honor the requested maximum order but keep their own caps where the work
-grows too fast to be useful at the command line.
+line.  Each order has one census walk (`counting._walk`) and one bit-sliced
+powering batch (`counting.powered_census`), both masks of rows by exponent.
+Primitivity and local-exponent-maxima read the batch; dispatch-soundness is
+the census's own three-way check of every primitive row's walk exponent
+against that batch and against the closed-form rule, where one applies.
+Counting and membership read the walk masks, which dispatch-soundness has
+checked, so the count formulas are compared with an enumeration that does
+not assume the rule they were derived from.  Families honor the requested
+maximum order but keep their own caps where the work grows too fast to be
+useful at the command line.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import counting, formulas, frobenius, oracle
+from . import counting, frobenius, oracle
 from .core import (
     BoolMatrix,
     CompanionSpec,
@@ -37,6 +41,7 @@ class CheckResult:
 
 _Specs = dict[int, tuple[CompanionSpec, ...]]
 _Records = dict[int, counting.CensusRecord]
+_Masks = dict[int, dict[int, int]]  # order -> exponent -> mask of its rows, bit y for "1" + (n-1 bits of y)
 
 
 def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
@@ -68,7 +73,7 @@ def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
     return CheckResult("cycle-structure", True, f"{checked} specs, walk counter to order {min(n_max, 6)}")
 
 
-def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: dict[int, dict[int, int]]) -> CheckResult:
+def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: _Masks) -> CheckResult:
     by_gcd = set().union(*primitive.values())
     checked = 0
     for n, specs in irreducible.items():
@@ -82,7 +87,7 @@ def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: dict[int
     return CheckResult("primitivity", True, f"{checked} irreducible specs to order {max(irreducible)}")
 
 
-def _check_local_exponent_maxima(primitive: _Specs, powered: dict[int, dict[int, int]]) -> CheckResult:
+def _check_local_exponent_maxima(primitive: _Specs, powered: _Masks) -> CheckResult:
     checked = 0
     for n, specs in primitive.items():
         for spec in specs:
@@ -91,7 +96,7 @@ def _check_local_exponent_maxima(primitive: _Specs, powered: dict[int, dict[int,
             y = int(spec.row_string[1:], 2)
             overall = next((e for e, mask in powered[n].items() if mask >> y & 1), None)
             max_local = max(table.get(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-            max_row = max(oracle.row_exponent(m, i) for i in range(1, n + 1))
+            max_row = max(oracle.row_exponents(m))
             if not overall == max_local == max_row:
                 return CheckResult(
                     "local-exponent-maxima", False,
@@ -100,14 +105,15 @@ def _check_local_exponent_maxima(primitive: _Specs, powered: dict[int, dict[int,
     return CheckResult("local-exponent-maxima", True, f"{checked} primitive specs to order {max(primitive)}")
 
 
-def _check_dispatch(n_max: int) -> CheckResult:
+def _check_dispatch(walks: _Masks, powered: _Masks) -> CheckResult:
     checked = 0
-    for n in range(3, n_max + 1):
+    for n, masks in walks.items():
         try:
-            checked += counting.census(n, check_oracle=True).primitive_count
+            counting._check_exponents(n, masks, powered[n])
         except counting.DispatchMismatchError as exc:
             return CheckResult("dispatch-soundness", False, str(exc))
-    return CheckResult("dispatch-soundness", True, f"{checked} primitive specs to order {n_max}")
+        checked += sum(mask.bit_count() for mask in masks.values())
+    return CheckResult("dispatch-soundness", True, f"{checked} primitive specs to order {max(walks)}")
 
 
 def _check_range_uniqueness(records: _Records) -> CheckResult:
@@ -151,7 +157,7 @@ def _check_conductors() -> CheckResult:
     return CheckResult("conductors", True, f"{pairs} pairs, {progressions} progressions, windows")
 
 
-def _check_counting(irreducible: _Specs, primitive: _Specs) -> CheckResult:
+def _check_counting(irreducible: _Specs, primitive: _Specs, walks: _Masks) -> CheckResult:
     n_max = max(irreducible)
     for n, specs in irreducible.items():
         if counting.count_imprimitive(n) != len(specs) - len(primitive[n]):
@@ -169,18 +175,14 @@ def _check_counting(irreducible: _Specs, primitive: _Specs) -> CheckResult:
             if counting.t_runs(r, n) != brute:
                 return CheckResult("counting", False, f"run-avoidance count off at r={r}, n={n}")
     for n in range(3, min(n_max, 10) + 1):
-        actual: dict[int, int] = {}
-        for spec in primitive[n]:
-            if spec.row[-1] == 1:
-                value = formulas.exponent(spec).value
-                actual[value] = actual.get(value, 0) + 1
+        positive_trace = int("10" * (1 << (n - 2)), 2)  # rows with vertex n in the support: y odd
         for t in range(n, 2 * (n - 1) + 1):
-            if counting.count_positive_trace_with_exponent(n, t) != actual.get(t, 0):
+            if counting.count_positive_trace_with_exponent(n, t) != (walks[n].get(t, 0) & positive_trace).bit_count():
                 return CheckResult("counting", False, f"positive-trace count off at n={n}, t={t}")
     return CheckResult("counting", True, f"orders 3..{n_max}")
 
 
-def _check_membership(records: _Records, primitive: _Specs) -> CheckResult:
+def _check_membership(records: _Records, primitive: _Specs, walks: _Masks) -> CheckResult:
     n_max = max(primitive)
     for n, record in records.items():
         missing = [t for t in range(n, 2 * (n - 1) + 1) if t not in record.histogram]
@@ -188,14 +190,13 @@ def _check_membership(records: _Records, primitive: _Specs) -> CheckResult:
             return CheckResult("membership", False, f"[{n}, {2 * (n - 1)}] not covered at order {n}: {missing}")
     for n in range(4, n_max + 1):
         top = 3 * n - 4 if n % 2 else 2 * n - 2
-        for spec in primitive[n]:
-            if spec.row[-1] != 0 or cycle_lengths(spec)[0] != 2:
-                continue
-            value = formulas.exponent(spec).value
-            if not n <= value <= top:
-                return CheckResult(
-                    "membership", False,
-                    f"smallest-cycle-2 exponent {value} outside [{n}, {top}] at {spec.row_string}")
+        cycle_2 = int("0100" * (1 << (n - 3)), 2)  # vertex n clear, vertex n - 1 set: y = 2 (mod 4)
+        failing = [(e, mask & cycle_2) for e, mask in walks[n].items() if mask & cycle_2 and not n <= e <= top]
+        if failing:
+            y, value = min(((bad & -bad).bit_length() - 1, e) for e, bad in failing)
+            return CheckResult(
+                "membership", False,
+                f"smallest-cycle-2 exponent {value} outside [{n}, {top}] at {counting._row(n, y)}")
         if n % 2:
             for x in range((n - 3) // 2 + 1):
                 if 2 * n - 1 + 2 * x not in records[n].histogram:
@@ -217,21 +218,22 @@ def _check_membership(records: _Records, primitive: _Specs) -> CheckResult:
 def run_all(n_max: int) -> list[CheckResult]:
     """Run every family up to the requested order (3 <= n_max <= 12), all of
     them on one enumeration of each order's irreducible and primitive specs,
-    one unchecked census record and one powered census batch per order."""
+    one census walk and one powered census batch per order."""
     if not 3 <= n_max <= 12:
         raise ValueError(f"n-max must be in [3, 12], got {n_max}")
-    irreducible = {n: tuple(CompanionSpec(n, "1" + format(y, f"0{n - 1}b")) for y in range(1 << (n - 1)))
+    irreducible = {n: tuple(CompanionSpec(n, counting._row(n, y)) for y in range(1 << (n - 1)))
                    for n in range(3, n_max + 1)}
     primitive = {n: tuple(filter(is_primitive, specs)) for n, specs in irreducible.items()}
-    records = {n: counting.census(n) for n in irreducible}
+    walks = {n: counting._walk(n) for n in irreducible}
+    records = {n: counting._record(n, masks) for n, masks in walks.items()}
     powered = {n: counting.powered_census(n) for n in irreducible}
     return [
         _check_cycle_structure(irreducible),
         _check_primitivity(irreducible, primitive, powered),
         _check_local_exponent_maxima({n: primitive[n] for n in range(3, min(n_max, 8) + 1)}, powered),
-        _check_dispatch(n_max),
+        _check_dispatch(walks, powered),
         _check_range_uniqueness(records),
         _check_conductors(),
-        _check_counting(irreducible, primitive),
-        _check_membership(records, primitive),
+        _check_counting(irreducible, primitive, walks),
+        _check_membership(records, primitive, walks),
     ]

@@ -464,9 +464,56 @@ class TestVerify:
             "FAIL primitivity: gcd test and power test disagree on 6 100100",
             "FAIL dispatch-soundness: walk gave no exponent, oracle gave 13 for spec 6 100100"]
 
+    @staticmethod
+    def move_walk_row(monkeypatch, row, value):
+        """Make the census walk give `value` for one row of its order."""
+        real = counting._walk
+        y = int(row[1:], 2)
+        monkeypatch.setattr(
+            counting, "_walk", lambda n: with_row_exponent(real(n), y, value) if n == len(row) else real(n))
+
+    def test_counting_reads_the_walk(self, capsys, monkeypatch):
+        # a positive-trace row of exponent 10 (longest zero run 4) moved to 9
+        self.move_walk_row(monkeypatch, "100001", 9)
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 4
+        assert self.failed_families(out) == [
+            "FAIL dispatch-soundness: walk gave 9, dispatch rule POSITIVE_TRACE gave 10, "
+            "oracle gave 10 for spec 6 100001",
+            "FAIL counting: positive-trace count off at n=6, t=9"]
+
+    def test_membership_reads_the_walk(self, capsys, monkeypatch):
+        # two smallest-cycle-2 rows (exponents 17 and 12) moved past the top of [7, 17]:
+        # membership names the lower row, dispatch-soundness the lower exponent
+        self.move_walk_row(monkeypatch, "1000010", 19)
+        self.move_walk_row(monkeypatch, "1000110", 18)
+        code, out, _ = run(capsys, "verify", "--n-max", "7")
+        assert code == 4
+        assert self.failed_families(out) == [
+            "FAIL dispatch-soundness: walk gave 18, dispatch rule SMALLEST_CYCLE_2 gave 12, "
+            "oracle gave 12 for spec 7 1000110",
+            "FAIL membership: smallest-cycle-2 exponent 19 outside [7, 17] at 1000010"]
+
+    def test_one_walk_and_one_batch_per_order(self, monkeypatch):
+        calls = Counter()
+        real_walk, real_batch = counting._walk, oracle.batch_exponents
+
+        def walk(n):
+            calls["walk", n] += 1
+            return real_walk(n)
+
+        def batch(m):
+            calls["batch", len(m)] += 1
+            return real_batch(m)
+
+        monkeypatch.setattr(counting, "_walk", walk)
+        monkeypatch.setattr(oracle, "batch_exponents", batch)
+        assert all(result.passed for result in verify.run_all(11))
+        assert calls == {(name, n): 1 for name in ("walk", "batch") for n in range(3, 12)}
+
     def test_no_per_spec_powering_outside_local_exponent_maxima(self, monkeypatch):
         # dispatch-soundness and primitivity read the batch; local-exponent-maxima
-        # (orders 3..8) proves primitivity once per row_exponent call, one per vertex
+        # (orders 3..8) proves primitivity once per primitive spec, in row_exponents
         calls = Counter()
         for name in ("exponent", "has_positive_power"):
             real = getattr(oracle, name)
@@ -477,7 +524,7 @@ class TestVerify:
 
             monkeypatch.setattr(oracle, name, counted)
         assert all(result.passed for result in verify.run_all(11))
-        assert calls == {("has_positive_power", n): n * counting.count_primitive(n) for n in range(3, 9)}
+        assert calls == {("has_positive_power", n): counting.count_primitive(n) for n in range(3, 9)}
 
     def test_specs_enumerated_once_per_order(self, monkeypatch):
         calls = Counter()

@@ -269,6 +269,19 @@ class TestRowExponent:
         m = companion_matrix(CompanionSpec(16, "1101100100010010"))
         assert row_exponent(m, 1) == oracle_exponent(m) == 22
 
+    @given(general_matrices(8))
+    @example(BoolMatrix(1, (0,)))
+    @example(BoolMatrix(1, (1,)))
+    @settings(deadline=None)
+    def test_row_exponents_match_row_exponent(self, m):
+        try:
+            expected = tuple(row_exponent(m, i) for i in range(1, m.n + 1))
+        except NotPrimitiveError:
+            with pytest.raises(NotPrimitiveError):
+                oracle.row_exponents(m)
+            return
+        assert oracle.row_exponents(m) == expected
+
 
 class TestExponentMaxima:
     def test_exponent_is_max_of_locals_and_rows(self):
@@ -429,7 +442,8 @@ class TestOrderCaps:
     def test_row_walk_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_ROW_WALK_ORDER", 8)
         assert row_exponent(self.wielandt(8), 1) == local_exponent(self.wielandt(8), 1, 1) == wielandt_bound(8)
-        for call in (lambda m: row_exponent(m, 1), lambda m: local_exponent(m, 1, 1)):
+        assert max(oracle.row_exponents(self.wielandt(8))) == wielandt_bound(8)
+        for call in (lambda m: row_exponent(m, 1), lambda m: local_exponent(m, 1, 1), oracle.row_exponents):
             with pytest.raises(ValueError, match="MAX_ROW_WALK_ORDER"):
                 call(self.wielandt(9))
 
