@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -30,9 +31,9 @@ def wielandt_bound(n: int) -> int:
 
 def _parse_bits(row: Sequence[int] | str) -> tuple[int, ...]:
     if isinstance(row, str):
-        if not row or any(c not in "01" for c in row):
+        if not row or row.strip("01"):
             raise ValueError(f"row must be a nonempty string over 0/1, got {row!r}")
-        return tuple(int(c) for c in row)
+        return tuple(map(int, row))
     bits = tuple(row)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"row bits must be 0 or 1, got {bits!r}")
@@ -73,7 +74,7 @@ class CompanionSpec:
 
     @property
     def row_string(self) -> str:
-        return "".join(str(b) for b in self.row)
+        return "".join(map(str, self.row))
 
     def bit(self, i: int) -> int:
         """Row bit in 1-based column i."""
@@ -101,9 +102,10 @@ def is_irreducible(spec: CompanionSpec) -> bool:
 
 
 def vertex_partition(spec: CompanionSpec) -> VertexPartition:
-    support = frozenset(i for i in range(1, spec.n + 1) if spec.row[i - 1])
-    zeros = frozenset(range(1, spec.n + 1)) - support
-    return VertexPartition(zeros=zeros, support=support)
+    columns: tuple[list[int], list[int]] = ([], [])  # zeros, support
+    for i, bit in enumerate(spec.row, 1):
+        columns[bit].append(i)
+    return VertexPartition(zeros=frozenset(columns[0]), support=frozenset(columns[1]))
 
 
 def longest_run(indices: Iterable[int]) -> int:
@@ -130,7 +132,7 @@ def cycle_lengths(spec: CompanionSpec) -> tuple[int, ...]:
     """
     if not is_irreducible(spec):
         raise ReducibleError("cycle lengths need an irreducible spec (row must start with 1)")
-    return tuple(sorted(spec.n - i + 1 for i in range(1, spec.n + 1) if spec.row[i - 1]))
+    return tuple(compress(range(1, spec.n + 1), reversed(spec.row)))  # bit n - l + 1 closes length l
 
 
 def imprimitivity_index(spec: CompanionSpec) -> int:

@@ -334,15 +334,15 @@ def _row(n: int, y: int) -> str:
     return "1" + format(y, f"0{n - 1}b")
 
 
-def _check_exponents(n: int, masks: dict[int, int], powered: dict[int, int]) -> None:
-    """`census`'s check_oracle check of the walk masks of order n against a powered batch
-    and the closed-form rules, for callers that already hold both."""
+def _check_exponents(specs: tuple[CompanionSpec, ...], masks: dict[int, int], powered: dict[int, int]) -> None:
+    """`census`'s check_oracle check of one order's walk masks against a powered batch and
+    the closed-form rules, for callers that already hold both; specs[y] is bit y's spec."""
     agree = powered == masks
     for value, mask in masks.items():
         bits = format(mask, "b")[::-1]
         y = bits.find("1")
         while y >= 0:
-            spec = CompanionSpec(n, _row(n, y))
+            spec = specs[y]
             true_exp = value if agree else next((e for e, m in powered.items() if m >> y & 1), None)
             try:
                 report = formulas.exponent(spec, allow_oracle=False)
@@ -351,13 +351,13 @@ def _check_exponents(n: int, masks: dict[int, int], powered: dict[int, int]) -> 
                 rule_value, ruled = value, "no closed-form rule applies"
             if not value == rule_value == true_exp:
                 raise DispatchMismatchError(
-                    f"walk gave {value}, {ruled}, oracle gave {true_exp} for spec {n} {spec.row_string}")
+                    f"walk gave {value}, {ruled}, oracle gave {true_exp} for spec {spec.n} {spec.row_string}")
             y = bits.find("1", y + 1)
     for e, mask in powered.items():  # rows the walk left out are all that can differ here
         extra = mask & ~masks.get(e, 0)
         if extra:
-            y = (extra & -extra).bit_length() - 1
-            raise DispatchMismatchError(f"walk gave no exponent, oracle gave {e} for spec {n} {_row(n, y)}")
+            spec = specs[(extra & -extra).bit_length() - 1]
+            raise DispatchMismatchError(f"walk gave no exponent, oracle gave {e} for spec {spec.n} {spec.row_string}")
 
 
 def _record(n: int, masks: dict[int, int]) -> CensusRecord:
@@ -390,5 +390,6 @@ def census(n: int, check_oracle: bool = False) -> CensusRecord:
             f"order {n} above MAX_CHECKED_CENSUS_ORDER = {MAX_CHECKED_CENSUS_ORDER} for the oracle check")
     masks = _walk(n)
     if check_oracle:
-        _check_exponents(n, masks, powered_census(n))
+        specs = tuple(CompanionSpec(n, _row(n, y)) for y in range(1 << (n - 1)))
+        _check_exponents(specs, masks, powered_census(n))
     return _record(n, masks)

@@ -151,13 +151,16 @@ def exponent(m: BoolMatrix) -> int:
     return sum(1 for _ in _powers(m))
 
 
-def _settles(m: BoolMatrix, i: int, want: int) -> int:
-    """Smallest k such that walks from i of every length >= k reach all of `want`:
-    one past the last length whose walk misses some, stepping row i until it is full."""
+def _require_row_walk(m: BoolMatrix) -> None:
     if m.n > MAX_ROW_WALK_ORDER:
         raise ValueError(f"order {m.n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
     if not has_positive_power(m):
         raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
+
+
+def _settles(m: BoolMatrix, i: int, want: int) -> int:
+    """Smallest k such that walks from i of every length >= k reach all of `want`, for a
+    primitive m: one past the last length whose walk misses some, stepping row i until it is full."""
     full = (1 << m.n) - 1
     walk, length, settles = 1 << (i - 1), 0, 1
     while walk != full:
@@ -171,29 +174,21 @@ def local_exponent(m: BoolMatrix, i: int, j: int) -> int:
     """Smallest k such that i -> j walks of every length >= k exist."""
     _check_vertex(m, i)
     _check_vertex(m, j)
+    _require_row_walk(m)
     return _settles(m, i, 1 << (j - 1))
 
 
 def row_exponent(m: BoolMatrix, i: int) -> int:
     """Smallest k such that row i of m**k (and of every later power) is all-positive."""
     _check_vertex(m, i)
+    _require_row_walk(m)
     return _settles(m, i, (1 << m.n) - 1)
 
 
 def row_exponents(m: BoolMatrix) -> tuple[int, ...]:
-    """row_exponent(m, i) for i = 1..n, with one primitivity proof for the whole matrix:
-    each row is stepped until it is full, and an all-positive row stays all-positive."""
-    if m.n > MAX_ROW_WALK_ORDER:
-        raise ValueError(f"order {m.n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
-    if not has_positive_power(m):
-        raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
-    full, out = (1 << m.n) - 1, []
-    for i in range(m.n):
-        walk, length = 1 << i, 0
-        while walk != full:
-            walk, length = _times(walk, m.rows, 1), length + 1
-        out.append(max(length, 1))
-    return tuple(out)
+    """row_exponent(m, i) for i = 1..n, with one primitivity proof for the whole matrix."""
+    _require_row_walk(m)
+    return tuple(_settles(m, i, (1 << m.n) - 1) for i in range(1, m.n + 1))
 
 
 @dataclass(frozen=True)

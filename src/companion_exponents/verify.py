@@ -9,9 +9,11 @@ the census's own three-way check of every primitive row's walk exponent
 against that batch and against the closed-form rule, where one applies.
 Counting and membership read the walk masks, which dispatch-soundness has
 checked, so the count formulas are compared with an enumeration that does
-not assume the rule they were derived from.  Families honor the requested
-maximum order but keep their own caps where the work grows too fast to be
-useful at the command line.
+not assume the rule they were derived from.  Cycle-structure's walk counter
+stops each spec at its first repeated power: the frontier sets matched it at
+both steps, so every later step of both walks repeats one already compared.
+Families honor the requested maximum order but keep their own caps where
+the work grows too fast to be useful at the command line.
 """
 
 from __future__ import annotations
@@ -46,20 +48,18 @@ _Masks = dict[int, dict[int, int]]  # order -> exponent -> mask of its rows, bit
 
 def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
     n_max = max(irreducible)
-    checked = 0
     for n, specs in irreducible.items():
         for spec in specs:
             lengths = cycle_lengths(spec)
             part = vertex_partition(spec)
             if len(lengths) != len(part.support) or max(lengths) != n:
                 return CheckResult("cycle-structure", False, f"bad lengths for {spec.n} {spec.row_string}")
-            checked += 1
     # walk counter: row i of the k-th power == the ends of i -> * walks of length k
     for n in range(3, min(n_max, 6) + 1):
         for spec in irreducible[n]:
             m = companion_matrix(spec)
             adj = [set()] + [{j for j in range(1, n + 1) if m.entry(i, j)} for i in range(1, n + 1)]
-            power = BoolMatrix.identity(n)
+            power, seen = BoolMatrix.identity(n), set()
             frontiers = [{i} for i in range(1, n + 1)]
             for k in range(1, wielandt_bound(n) + 1):
                 power = oracle.bool_product(power, m)
@@ -70,12 +70,15 @@ def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
                         j = (diff & -diff).bit_length()
                         return CheckResult(
                             "cycle-structure", False, f"walk mismatch at {spec.n} {spec.row_string} ({i},{j},{k})")
+                if power.rows in seen:  # frontiers repeat with it, so every later step repeats a checked one
+                    break
+                seen.add(power.rows)
+    checked = sum(map(len, irreducible.values()))
     return CheckResult("cycle-structure", True, f"{checked} specs, walk counter to order {min(n_max, 6)}")
 
 
 def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: _Masks) -> CheckResult:
     by_gcd = set().union(*primitive.values())
-    checked = 0
     for n, specs in irreducible.items():
         by_power = sum(powered[n].values())
         for y, spec in enumerate(specs):
@@ -83,33 +86,32 @@ def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: _Masks) 
                 return CheckResult(
                     "primitivity", False,
                     f"gcd test and power test disagree on {spec.n} {spec.row_string}")
-            checked += 1
+    checked = sum(map(len, irreducible.values()))
     return CheckResult("primitivity", True, f"{checked} irreducible specs to order {max(irreducible)}")
 
 
 def _check_local_exponent_maxima(primitive: _Specs, powered: _Masks) -> CheckResult:
-    checked = 0
     for n, specs in primitive.items():
         for spec in specs:
             m = companion_matrix(spec)
             table = oracle.local_exponent_table(m)
             y = int(spec.row_string[1:], 2)
             overall = next((e for e, mask in powered[n].items() if mask >> y & 1), None)
-            max_local = max(table.get(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+            max_local = max(map(max, table.values))
             max_row = max(oracle.row_exponents(m))
             if not overall == max_local == max_row:
                 return CheckResult(
                     "local-exponent-maxima", False,
                     f"{spec.n} {spec.row_string}: exp={overall} max_local={max_local} max_row={max_row}")
-            checked += 1
+    checked = sum(map(len, primitive.values()))
     return CheckResult("local-exponent-maxima", True, f"{checked} primitive specs to order {max(primitive)}")
 
 
-def _check_dispatch(walks: _Masks, powered: _Masks) -> CheckResult:
+def _check_dispatch(irreducible: _Specs, walks: _Masks, powered: _Masks) -> CheckResult:
     checked = 0
     for n, masks in walks.items():
         try:
-            counting._check_exponents(n, masks, powered[n])
+            counting._check_exponents(irreducible[n], masks, powered[n])
         except counting.DispatchMismatchError as exc:
             return CheckResult("dispatch-soundness", False, str(exc))
         checked += sum(mask.bit_count() for mask in masks.values())
@@ -231,7 +233,7 @@ def run_all(n_max: int) -> list[CheckResult]:
         _check_cycle_structure(irreducible),
         _check_primitivity(irreducible, primitive, powered),
         _check_local_exponent_maxima({n: primitive[n] for n in range(3, min(n_max, 8) + 1)}, powered),
-        _check_dispatch(walks, powered),
+        _check_dispatch(irreducible, walks, powered),
         _check_range_uniqueness(records),
         _check_conductors(),
         _check_counting(irreducible, primitive, walks),

@@ -43,6 +43,19 @@ def stabilization_point(entries: list[list[int]], i: int, j: int, horizon: int) 
     return missing[-1] + 1 if missing else 1
 
 
+def first_repeated_power(entries: list[list[int]]) -> int:
+    """First k with m**k equal to some m**j, 1 <= j < k, by naive products, capped at
+    the Wielandt bound (n-1)**2 + 1."""
+    bound = (len(entries) - 1) ** 2 + 1
+    powers = [entries]
+    while len(powers) < bound:
+        power = naive_bool_product(powers[-1], entries)
+        if power in powers:
+            return len(powers) + 1
+        powers.append(power)
+    return bound
+
+
 def reach_sets_from_last(row: str):
     """Reach sets of the walks of length 0, 1, .. from vertex n, up to the first full one.
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from companion_exponents import counting, formulas, oracle, verify
+from companion_exponents import BoolMatrix, CompanionSpec, companion_matrix, counting, formulas, oracle, verify
 from companion_exponents.counting import (
     MAX_CENSUS_ORDER,
     MAX_CHECKED_CENSUS_ORDER,
@@ -25,7 +25,7 @@ from companion_exponents.counting import (
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
 from companion_exponents.oracle import MAX_POWERING_ORDER, MAX_ROW_WALK_ORDER
-from helpers import with_row_exponent
+from helpers import first_repeated_power, irreducible_rows, with_row_exponent
 
 # SHA-256 of `verify --n-max n` stdout, taken before dispatch-soundness became
 # a loop over the census check (order 12: before powering became one batch per
@@ -525,6 +525,56 @@ class TestVerify:
             monkeypatch.setattr(oracle, name, counted)
         assert all(result.passed for result in verify.run_all(11))
         assert calls == {("has_positive_power", n): counting.count_primitive(n) for n in range(3, 9)}
+
+    def test_walk_counter_stops_at_the_first_repeated_power(self, monkeypatch):
+        # once a power repeats, its frontiers repeat too, so every later step was already checked
+        calls = Counter()
+        real = oracle.bool_product
+
+        def counted(x, y):
+            calls[x.n] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(oracle, "bool_product", counted)
+        irreducible = {n: tuple(CompanionSpec(n, row) for row in irreducible_rows(n)) for n in range(3, 7)}
+        assert verify._check_cycle_structure(irreducible).passed
+        assert calls == {n: sum(first_repeated_power(companion_matrix(spec).to_lists()) for spec in specs)
+                         for n, specs in irreducible.items()}
+        assert sum(calls.values()) == 541  # 1204 when every spec is stepped to the Wielandt bound
+
+    def test_walk_counter_catches_a_fault_before_the_repeat(self, capsys, monkeypatch):
+        # 6 100100 (cycles 6 and 3) first repeats a power at step 9: flip entry (2, 5) of its
+        # power at step 8, the last step before the repeat
+        target = companion_matrix(CompanionSpec(6, "100100"))
+        assert first_repeated_power(target.to_lists()) == 9
+        real, steps = oracle.bool_product, Counter()
+
+        def faulty(x, y):
+            product = real(x, y)
+            if y != target:
+                return product
+            steps[y] += 1
+            if steps[y] != 8:
+                return product
+            return BoolMatrix(6, (product.rows[0], product.rows[1] ^ 1 << 4) + product.rows[2:])
+
+        monkeypatch.setattr(oracle, "bool_product", faulty)
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 4
+        assert self.failed_families(out) == ["FAIL cycle-structure: walk mismatch at 6 100100 (2,5,8)"]
+
+    def test_one_spec_per_irreducible_row(self, monkeypatch):
+        # dispatch-soundness reads the specs run_all holds instead of building its own
+        made = Counter()
+        real = CompanionSpec.__post_init__
+
+        def counted(spec):
+            made[spec.n] += 1
+            real(spec)
+
+        monkeypatch.setattr(CompanionSpec, "__post_init__", counted)
+        assert all(result.passed for result in verify.run_all(11))
+        assert made == {n: 1 << (n - 1) for n in range(3, 12)}  # 2044 in all
 
     def test_specs_enumerated_once_per_order(self, monkeypatch):
         calls = Counter()

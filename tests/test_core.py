@@ -1,5 +1,7 @@
 """Spec modeling, vertex partitions, runs, and cycle structure."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +49,13 @@ class TestCompanionSpec:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             CompanionSpec(3, (1, 2, 0))
+
+    # int() accepts the fullwidth digit "１" (and "+1", " 1"), so the parser must refuse them itself
+    @pytest.mark.parametrize("row", ["", "1 01", " 101", "101\n", "012", "+1", "\uff110"])
+    def test_rejects_row_strings_int_would_read(self, row):
+        message = f"row must be a nonempty string over 0/1, got {row!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CompanionSpec(3, row)
 
 
 class TestBuildMatrix:
@@ -145,6 +154,13 @@ class TestCycleLengths:
     def test_reducible_raises(self):
         with pytest.raises(ReducibleError):
             cycle_lengths(CompanionSpec(4, "0101"))
+
+    @given(st.integers(2, 64).flatmap(lambda n: st.integers(0, (1 << (n - 1)) - 1).map(
+        lambda y: "1" + format(y, f"0{n - 1}b"))))
+    def test_ascending_from_the_support(self, row):
+        n = len(row)
+        expected = tuple(sorted({n - i + 1 for i in range(1, n + 1) if row[i - 1] == "1"}))
+        assert cycle_lengths(CompanionSpec(n, row)) == expected
 
     def test_matches_generic_enumeration(self):
         for n in range(2, 8):
