@@ -37,6 +37,7 @@ def _cmd_exp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if args.oracle_only:
         formulas.require_primitive(spec)
+        oracle.check_powering_order(spec.n)
         report = ExponentReport(oracle.exponent(companion_matrix(spec)), RULE_ORACLE)
     else:
         try:
@@ -53,6 +54,7 @@ def _cmd_local_exp(args: argparse.Namespace) -> int:
     if not (1 <= args.i <= spec.n and 1 <= args.j <= spec.n):
         raise ValueError(f"vertices must lie in [1, {spec.n}]")
     formulas.require_primitive(spec)
+    oracle.check_row_walk_order(spec.n)
     print(oracle.local_exponent(companion_matrix(spec), args.i, args.j))
     return EXIT_OK
 

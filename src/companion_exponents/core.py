@@ -74,7 +74,7 @@ class CompanionSpec:
 
     @property
     def row_string(self) -> str:
-        return "".join(map(str, self.row))
+        return "".join(map("01".__getitem__, self.row))  # shared one-character strings, no str() per bit
 
     def bit(self, i: int) -> int:
         """Row bit in 1-based column i."""

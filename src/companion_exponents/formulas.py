@@ -12,12 +12,10 @@ whole window [j - l + 1, j] sits inside the support, l being the smallest
 cycle length; walks from vertex 1 then hit j at every length >= n, which
 pins the local exponent exp(1 -> j) to n.
 
-Every rule reads one private facts object, built once per spec by
-`exponent` or by a public rule called on its own: the sorted cycle
-lengths, the longest zero run and two masks with vertex i at bit i - 1,
-`support` and `special` = AND_{t<l} (support << t); windows sticking out
-past vertex 1 meet the zero bits shifted in.  Rules that need the
-conductor of the cycle lengths compute it.
+Every rule reads one private facts object, built once per spec in time
+linear in the row: the sorted cycle lengths, the longest zero run and the
+`support` mask with vertex i at bit i - 1.  No rule on `exponent`'s path
+needs more than one pass over the support.
 """
 
 from __future__ import annotations
@@ -43,13 +41,7 @@ RULE_SMALLEST_CYCLE_2 = "SMALLEST_CYCLE_2"
 RULE_BLOCK_V1_PREFIX = "BLOCK_V1_PREFIX"
 RULE_ORACLE = "ORACLE"
 
-RULES = frozenset({
-    RULE_POSITIVE_TRACE,
-    RULE_TWO_CYCLES,
-    RULE_SMALLEST_CYCLE_2,
-    RULE_BLOCK_V1_PREFIX,
-    RULE_ORACLE,
-})
+RULES = frozenset({RULE_POSITIVE_TRACE, RULE_TWO_CYCLES, RULE_SMALLEST_CYCLE_2, RULE_BLOCK_V1_PREFIX, RULE_ORACLE})
 
 
 class PreconditionError(ValueError):
@@ -101,16 +93,17 @@ class _SpecFacts:
     support: int
     lengths: tuple[int, ...]
     longest_zero_run: int
-    special: int
 
     @classmethod
     def of(cls, spec: CompanionSpec, lengths: tuple[int, ...]) -> _SpecFacts:
         bits = spec.row_string
-        support = int(bits[::-1], 2)
-        special = support
-        for t in range(1, lengths[0]):
-            special &= support << t
-        return cls(spec.n, support, lengths, max(map(len, bits.split("1"))), special)
+        return cls(spec.n, int(bits[::-1], 2), lengths, max(map(len, bits.split("1"))))
+
+
+def _special(f: _SpecFacts, j: int) -> bool:
+    """Is j special?  One shift and one mask; below l the window sticks out past vertex 1, so never."""
+    l, window = f.lengths[0], (1 << f.lengths[0]) - 1
+    return j >= l and f.support >> (j - l) & window == window
 
 
 def _facts(spec: CompanionSpec | _SpecFacts, zero_trace: bool = False) -> _SpecFacts:
@@ -182,7 +175,7 @@ def is_special_vertex(spec: CompanionSpec, j: int) -> bool:
     f = _facts(spec, zero_trace=True)
     if not 1 <= j <= f.n:
         raise PreconditionError(f"vertex {j} out of [1, {f.n}]")
-    return bool(f.special >> (j - 1) & 1)
+    return _special(f, j)
 
 
 def gap_rule_local_exponent(spec: CompanionSpec, j: int) -> tuple[int, int | None]:
@@ -205,14 +198,11 @@ def gap_rule_local_exponent(spec: CompanionSpec, j: int) -> tuple[int, int | Non
         raise PreconditionError(f"vertex {j} is not a support vertex")
     if j < smallest:
         raise PreconditionError(f"rule needs j >= smallest cycle length {smallest}")
-    if f.special >> (j - 1) & 1:
+    if _special(f, j):
         raise PreconditionError(f"vertex {j} is special, its local exponent is n")
     # the window ending at j is not all support, so some backstep lands on a zero
     gap = next(p for p in range(smallest - 1, 0, -1) if not f.support >> (j - p - 1) & 1)
-    bound = f.n + gap
-    below = j - gap - 1
-    exact = below >= 1 and f.special >> (below - 1) & 1
-    return bound, (bound + 1 if exact else None)
+    return f.n + gap, (f.n + gap + 1 if _special(f, j - gap - 1) else None)
 
 
 def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
@@ -225,8 +215,7 @@ def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
     """
     f = _facts(spec, zero_trace=True)
     run = f.longest_zero_run
-    prefix = ((1 << run) - 1) << 1
-    if f.support & prefix:
+    if f.support >> 1 & ((1 << run) - 1):  # some vertex in 2 .. run + 1 is in the support
         raise PreconditionError("the zero run starting at vertex 2 must be a longest one")
     c = conductor(f.lengths)
     return ExponentReport(
@@ -239,11 +228,12 @@ def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
 def smallest_cycle_two_exponent(spec: CompanionSpec) -> ExponentReport:
     """Exponent for primitive zero-trace specs whose smallest cycle length is 2.
 
-    With a 2-cycle present, the local exponent at a support vertex j is n
-    for special vertices, n + p - 1 for the smallest odd backstep p below
-    the smallest odd cycle length s landing in the support, and n + s - 1
-    when no such backstep exists.  Zero vertices reduce to the support
-    vertex below; the exponent is the maximum over all vertices.
+    With a 2-cycle present, exp(1 -> j) at a support vertex j is
+    n + min(p, s) - 1: s is the smallest odd cycle length and p the
+    smallest odd backstep from j into the support, j minus the latest
+    support vertex below j of the other parity (p = 1 makes j special).
+    Zero vertices reduce to the support vertex below; the exponent is the
+    maximum over all vertices, in one ascending pass.
     """
     f = _facts(spec, zero_trace=True)
     n = f.n
@@ -253,15 +243,13 @@ def smallest_cycle_two_exponent(spec: CompanionSpec) -> ExponentReport:
         raise PreconditionError("rule needs smallest cycle length 2")
     # An odd length exists: all-even cycle lengths would force gcd >= 2.
     s = min(l for l in f.lengths if l % 2)
-    best, rest = 0, f.support
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        j = low.bit_length()
-        odd = (n + p - 1 for p in range(1, min(s, j), 2) if f.support >> (j - p - 1) & 1)
-        local = n if f.special & low else next(odd, n + s - 1)
-        # zero vertices up to the next support vertex (or n) reduce to j
-        best = max(best, local + ((rest & -rest).bit_length() or n + 1) - j - 1)
+    # support vertex i closes the cycle of length n + 1 - i; n + 1 ends the last zero run
+    vertices = [n + 1 - l for l in reversed(f.lengths)] + [n + 1]
+    best, last = 0, [-s, -s]  # latest support vertex of each parity; -s stands for none (p > s)
+    for j, up in zip(vertices, vertices[1:]):
+        local = n + min(j - last[1 - j % 2], s) - 1
+        best = max(best, local + up - j - 1)  # zero vertices j + 1 .. up - 1 reduce to j
+        last[j % 2] = j
     return ExponentReport(best, RULE_SMALLEST_CYCLE_2, {"smallest_odd_cycle": s})
 
 
@@ -289,4 +277,5 @@ def exponent(spec: CompanionSpec, allow_oracle: bool = True) -> ExponentReport:
             continue
     if not allow_oracle:
         raise PreconditionError("no closed-form rule applies")
+    oracle.check_powering_order(spec.n)
     return ExponentReport(oracle.exponent(companion_matrix(spec)), RULE_ORACLE)

@@ -5,10 +5,11 @@ the k-th power is 1 exactly when the digraph has an i -> j walk of length
 k.  Every scan stops at the first all-positive power or row: a primitive
 matrix has no zero column, so every later power or row is all-positive
 too.  The Wielandt bound (n-1)**2 + 1 only certifies non-primitivity: a
-primitive matrix turns all-positive by then, so a power sequence that
-reaches it without one proves the matrix is not primitive.  `_powers` is
-the one place that decides this by powering.  Powering refuses orders
-above MAX_POWERING_ORDER and the row walk orders above MAX_ROW_WALK_ORDER.
+primitive matrix turns all-positive by then, so powers that reach it
+without one prove non-primitivity, stepped (`_powers`), squared
+(`has_positive_power`) or batched (`batch_exponents`).  Powering refuses
+orders above MAX_POWERING_ORDER and the row walk above MAX_ROW_WALK_ORDER,
+in `check_*_order`, which callers run before they build the matrix.
 
 Two layouts each have a general boolean-semiring kernel with no
 companion structure, which keeps the oracle independent of the rules.
@@ -45,6 +46,16 @@ class NotPrimitiveError(ValueError):
     """No power of the matrix within the Wielandt bound is all-positive."""
 
 
+def check_powering_order(n: int) -> None:
+    if n > MAX_POWERING_ORDER:
+        raise ValueError(f"order {n} above MAX_POWERING_ORDER = {MAX_POWERING_ORDER}")
+
+
+def check_row_walk_order(n: int) -> None:
+    if n > MAX_ROW_WALK_ORDER:
+        raise ValueError(f"order {n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
+
+
 def _slots(n: int) -> int:
     """Bit 0 of each of the n row slots of a packed matrix of order n."""
     return ((1 << (n * n)) - 1) // ((1 << n) - 1)
@@ -70,8 +81,7 @@ def _times(p: int, rows: Sequence[int], slots: int) -> int:
 def _powers(m: BoolMatrix) -> Iterator[int]:
     """Packed m**1, m**2, .. up to the first all-positive power, one product per step;
     NotPrimitiveError if the Wielandt bound passes first, ValueError above MAX_POWERING_ORDER."""
-    if m.n > MAX_POWERING_ORDER:
-        raise ValueError(f"order {m.n} above MAX_POWERING_ORDER = {MAX_POWERING_ORDER}")
+    check_powering_order(m.n)
     full = (1 << (m.n * m.n)) - 1
     slots = _slots(m.n)
     power, length = _pack(m), 1
@@ -114,8 +124,7 @@ def batch_exponents(m: Sequence[Sequence[int]]) -> dict[int, int]:
     up to the Wielandt bound or until every matrix with a nonzero entry is all-positive; a matrix
     that is not primitive is in no mask."""
     n = len(m)
-    if n > MAX_POWERING_ORDER:
-        raise ValueError(f"order {n} above MAX_POWERING_ORDER = {MAX_POWERING_ORDER}")
+    check_powering_order(n)
     everything = reduce(or_, chain(*m), 0)
     columns = [[(l, e) for l, e in enumerate(column) if e] for column in zip(*m)]
     power, done, masks = m, 0, {}
@@ -152,8 +161,7 @@ def exponent(m: BoolMatrix) -> int:
 
 
 def _require_row_walk(m: BoolMatrix) -> None:
-    if m.n > MAX_ROW_WALK_ORDER:
-        raise ValueError(f"order {m.n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
+    check_row_walk_order(m.n)
     if not has_positive_power(m):
         raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -153,6 +154,14 @@ class TestExp:
         assert (code, out) == (2, "")
         assert "MAX_POWERING_ORDER" in err
         assert run(capsys, "exp", str(n), uncovered, "--rule-only") == (4, "", "no closed-form rule applies\n")
+
+    def test_conductor_cap_refuses_a_rule_covered_row(self, capsys):
+        # BLOCK_V1_PREFIX covers the row, but its conductor has a = 1001 and 98 000 generators
+        n = 100_000
+        row = "1" + "0" * 1000 + "1" * (n - 2001) + "0" * 1000
+        assert run(capsys, "exp", str(n), row) == (
+            2, "", f"smallest generator 1001 times 98000 generators exceeds the limit {MAX_CONDUCTOR_WORK} "
+            "(MAX_CONDUCTOR_WORK)\n")
 
 
 class TestLocalExp:
@@ -397,6 +406,34 @@ class TestOracleCensusAndConductorCapsExitTwo:
         assert (code, out) == (2, "")
         assert "MAX_CONDUCTOR_WORK" in err
         assert seconds < 1
+
+
+class TestRefusalsBuildNoMatrix:
+    """Above the powering and row-walk caps the CLI refuses before it builds the O(n**2)-bit matrix."""
+
+    N = 20_000
+    LOWER_HALF = "1" * (N // 2) + "0" * (N // 2)  # no rule covers it
+
+    @pytest.mark.parametrize("argv, cap", [
+        (("exp", str(N), LOWER_HALF), f"MAX_POWERING_ORDER = {MAX_POWERING_ORDER}"),
+        (("exp", str(N), LOWER_HALF, "--oracle-only"), f"MAX_POWERING_ORDER = {MAX_POWERING_ORDER}"),
+        (("local-exp", str(N), LOWER_HALF, "1", str(N)), f"MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}"),
+    ])
+    def test_small_peak(self, argv, cap):
+        tracemalloc.start()
+        try:
+            code, out, err, _ = timed_run(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"order {self.N} above {cap}\n")
+        assert peak < 2_000_000
+
+    def test_gcd_refusal_comes_first(self, capsys):
+        n, row = str(self.N), "10" * (self.N // 2)
+        message = f"imprimitive: gcd(L)=2 cycle lengths {{{', '.join(map(str, range(2, self.N + 1, 2)))}}}\n"
+        for argv in (("exp", n, row), ("exp", n, row, "--oracle-only"), ("local-exp", n, row, "1", "1")):
+            assert run(capsys, *argv) == (3, "", message)
 
 
 class TestVerify:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -29,6 +30,7 @@ from companion_exponents import (
     vertex_partition,
     wielandt_bound,
 )
+from companion_exponents import formulas
 from companion_exponents.formulas import (
     RULE_BLOCK_V1_PREFIX,
     RULE_ORACLE,
@@ -89,6 +91,15 @@ def zero_trace_primitive_specs(draw, max_n=24):
         # force a cycle of length n - 1, coprime to the length-n cycle
         spec = CompanionSpec(n, "11" + spec.row_string[2:])
     return spec
+
+
+@st.composite
+def smallest_cycle_two_rows(draw, min_order, max_order):
+    """Zero-trace primitive rows with a 2-cycle: vertex n - 1 in the support, vertex n not."""
+    n = draw(st.integers(min_order, max_order))
+    row = "1" + format(draw(st.integers(0, (1 << (n - 3)) - 1)), f"0{n - 3}b") + "10"
+    # only an even n can leave every cycle length even; vertex 2 then adds the odd length n - 1
+    return row if helpers.row_cycle_gcd(row) == 1 else row[0] + "1" + row[2:]
 
 
 @st.composite
@@ -337,6 +348,17 @@ class TestReduceToSupport:
 
 
 class TestSpecialVertex:
+    # support {1..5} of order 8: smallest cycle length l = 4
+    FRONT = CompanionSpec(8, "11111000")
+
+    def test_window_boundaries(self):
+        assert is_special_vertex(self.FRONT, 4)  # j = l: the window starts at vertex 1
+        assert not is_special_vertex(self.FRONT, 3)  # j = l - 1: the window sticks out past vertex 1
+        assert is_special_vertex(self.FRONT, 5)
+        assert not is_special_vertex(self.FRONT, 6)  # vertex 6 is a zero
+        facts = formulas._facts(self.FRONT)
+        assert not any(formulas._special(facts, j) for j in (0, -1, -5))  # no window ends at or below 0
+
     def test_wide_spec(self):
         assert is_special_vertex(WIDE_SPEC, 2)
         assert local_exponent(companion_matrix(WIDE_SPEC), 1, 2) == 16
@@ -384,9 +406,23 @@ class TestGapRule:
         with pytest.raises(PreconditionError):
             gap_rule_local_exponent(WIDE_SPEC, 2)
 
+    @pytest.mark.parametrize("row, j, expected", [
+        ("10111000", 4, (10, None)),  # j = l; the vertex under the gap is 1, whose window sticks out
+        ("10111000", 5, (11, None)),  # the lowest vertex under a gap: 1, since vertex 1 is never a zero
+        ("111011100", 5, (10, 11)),  # the vertex under the gap is l = 3, its window starts at vertex 1
+    ])
+    def test_window_boundaries(self, row, j, expected):
+        spec = CompanionSpec(len(row), row)
+        assert gap_rule_local_exponent(spec, j) == expected == helpers.gap_rule(row, j)
+        bound, exact = expected
+        truth = local_exponent(companion_matrix(spec), 1, j)
+        assert truth == exact if exact else truth >= bound
+
     def test_below_smallest_cycle_rejected(self):
         with pytest.raises(PreconditionError):
             gap_rule_local_exponent(CompanionSpec(8, "10011000"), 1)
+        with pytest.raises(PreconditionError, match="smallest cycle length 4"):
+            gap_rule_local_exponent(CompanionSpec(8, "10111000"), 3)  # j = l - 1, a support vertex
 
     def test_sound_everywhere(self):
         for n in range(4, 9):
@@ -462,6 +498,23 @@ class TestSmallestCycleTwo:
     def test_requires_order_four(self):
         with pytest.raises(PreconditionError):
             smallest_cycle_two_exponent(CompanionSpec(3, "110"))
+
+    @given(smallest_cycle_two_rows(25, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_set_based_value_past_order_24(self, row):
+        spec = CompanionSpec(len(row), row)
+        assert smallest_cycle_two_exponent(spec).value == helpers.smallest_cycle_two_value(row)
+
+    def test_parity_row_in_linear_time(self):
+        # support {1} and the even vertices: every odd backstep from an even j
+        # reaches back to vertex 1, the case a scan over backsteps makes cubic
+        n = 8001
+        row = "".join("1" if v == 1 or v % 2 == 0 else "0" for v in range(1, n + 1))
+        start = time.perf_counter()
+        report = exponent(CompanionSpec(n, row))
+        assert time.perf_counter() - start < 0.5
+        assert (report.rule, report.value) == (RULE_SMALLEST_CYCLE_2, 2 * n - 1)
+        assert report.detail == {"smallest_odd_cycle": n}
 
 
 class TestDispatch:
