@@ -53,9 +53,7 @@ def _cmd_local_exp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if not (1 <= args.i <= spec.n and 1 <= args.j <= spec.n):
         raise ValueError(f"vertices must lie in [1, {spec.n}]")
-    formulas.require_primitive(spec)
-    oracle.check_row_walk_order(spec.n)
-    print(oracle.local_exponent(companion_matrix(spec), args.i, args.j))
+    print(max(1, spec.n - args.i + formulas.local_exponents_from_last(spec)[args.j - 1]))
     return EXIT_OK
 
 
@@ -141,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--oracle-only", action="store_true", help="bypass the rules, power the matrix")
     p_exp.set_defaults(handler=_cmd_exp)
 
-    p_local = sub.add_parser("local-exp", help="local exponent exp(i -> j) by the oracle")
+    p_local = sub.add_parser("local-exp", help="local exponent exp(i -> j) from the walks out of vertex n")
     add_spec_args(p_local)
     p_local.add_argument("i", type=int, help="source vertex (1-based)")
     p_local.add_argument("j", type=int, help="target vertex (1-based)")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping
 
 from . import oracle
@@ -32,7 +33,7 @@ from .core import (
     is_irreducible,
     is_primitive,
 )
-from .frobenius import conductor
+from .frobenius import conductor, least_residues
 from .oracle import NotPrimitiveError
 
 RULE_POSITIVE_TRACE = "POSITIVE_TRACE"
@@ -150,6 +151,33 @@ def origin_local_exponent(spec: CompanionSpec) -> int:
     """
     f = _facts(spec, zero_trace=True)
     return f.n + conductor(f.lengths)
+
+
+def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
+    """e(n -> j) for j = 1..n: the least k such that walks from vertex n of every length >= k
+    end at j, so exp(i -> j) = max(1, n - i + e(n -> j)).  NotPrimitiveError first.
+
+    A walk n -> j is whole cycles, one jump to a support vertex s <= j and j - s steps, so its
+    lengths are x + j - s + 1 for x in the cycle-length semigroup.  With a the smallest cycle
+    length and least = `frobenius.least_residues`, the shortest one in class u + j (mod a) is
+    j + u + min over s of least[(u + s - 1) % a] - (u + s - 1), and e is its maximum over u,
+    minus a - 1; a zero vertex adds its distance above its support anchor, and at j = n with
+    a = 1 the empty walk counts.  O(|support| * a), which the MAX_CONDUCTOR_WORK cap bounds.
+    """
+    lengths = require_primitive(spec)
+    a = lengths[0]
+    least = least_residues(lengths)
+    shifted = [least[w % a] - w for w in range(spec.n + a)]  # read at w = u + s - 1
+    shortest: list[float] = [math.inf] * a  # min over the support so far, for each u
+    out = []
+    for j, bit in enumerate(spec.row, 1):
+        if bit:
+            shortest = list(map(min, shortest, shifted[j - 1:j - 1 + a]))
+            top = max(map(add, shortest, range(a))) - a + 1
+        out.append(top + j)
+    if a == 1:  # the empty walk at n
+        out[-1] = 0
+    return tuple(out)
 
 
 def reduce_to_support(spec: CompanionSpec, j: int) -> LocalExpQuery:

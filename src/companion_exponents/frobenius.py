@@ -7,12 +7,13 @@ largest non-representable integer, i.e. the conductor minus one; the code
 says "conductor" throughout because the exponent rules consume exactly
 that convention and the off-by-one is easy to smuggle in otherwise.
 
-`conductor` finds, for every residue r modulo the smallest generator a,
-the smallest representable integer congruent to r, by round-robin
+`least_residues` finds, for every residue r modulo the smallest generator
+a, the smallest representable integer congruent to r, by round-robin
 shortest paths (Boecker & Liptak, Algorithmica 2007): O(a*u) time and
-O(a) memory for u generators.  Sets with a*u above MAX_CONDUCTOR_WORK
-are refused with ValueError.  `representable` keeps its own sieve, an
-independent path that checks the conductor.
+O(a) memory for u generators; `conductor` is its maximum minus a - 1.
+Sets with a*u above MAX_CONDUCTOR_WORK are refused with ValueError.
+`representable` keeps its own sieve, an independent path that checks the
+conductor.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 
 
 MAX_CONDUCTOR_WORK = 4_000_000
-"""Largest smallest-generator times generator-count `conductor` accepts (about 1 s)."""
+"""Largest smallest-generator times generator-count `least_residues` accepts (about 1 s)."""
 
 
 class NotCoprimeError(ValueError):
@@ -64,21 +65,16 @@ def representable(x: int, gens: GeneratorSet | Iterable[int]) -> bool:
     return _representable_table(GeneratorSet.of(gens), x)[x]
 
 
-def conductor(gens: GeneratorSet | Iterable[int]) -> int:
-    """Smallest c such that every integer >= c is representable.
+def least_residues(gens: GeneratorSet | Iterable[int]) -> list[float]:
+    """least[r]: the smallest representable integer congruent to r modulo
+    the smallest generator a, or inf when there is none.
 
-    With a the smallest generator, let least[r] be the smallest
-    representable integer congruent to r modulo a.  Each further
-    generator b is folded in by walking the cycles r -> r + b (mod a),
-    each from its residue of smallest least[] value, and relaxing
-    least[(r + b) % a] with least[r] + b.  Once all generators are in,
-    least[r] - a is the largest non-representable integer of class r,
-    so the conductor is max(least) - a + 1.  Raises ValueError when
-    a * (number of generators) exceeds MAX_CONDUCTOR_WORK.
+    Each further generator b is folded in by walking the cycles
+    r -> r + b (mod a), each from its residue of smallest least[] value,
+    and relaxing least[(r + b) % a] with least[r] + b.  Raises ValueError
+    when a * (number of generators) exceeds MAX_CONDUCTOR_WORK.
     """
     g = GeneratorSet.of(gens)
-    if g.gcd != 1:
-        raise NotCoprimeError(f"gcd of generators {g.values} is {g.gcd}, conductor undefined")
     a = g.values[0]
     if a * len(g.values) > MAX_CONDUCTOR_WORK:
         raise ValueError(
@@ -101,7 +97,16 @@ def conductor(gens: GeneratorSet | Iterable[int]) -> int:
                     x = least[r]
                 else:
                     least[r] = x
-    return max(least) - a + 1
+    return least
+
+
+def conductor(gens: GeneratorSet | Iterable[int]) -> int:
+    """Smallest c such that every integer >= c is representable: max(least) - a + 1, since
+    least[r] - a is the largest non-representable integer of class r (`least_residues`)."""
+    g = GeneratorSet.of(gens)
+    if g.gcd != 1:
+        raise NotCoprimeError(f"gcd of generators {g.values} is {g.gcd}, conductor undefined")
+    return max(least_residues(g)) - g.values[0] + 1
 
 
 def pair_conductor(a: int, b: int) -> int:

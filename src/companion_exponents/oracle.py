@@ -2,18 +2,18 @@
 
 Powers are taken over the boolean semiring (1 + 1 = 1), so entry (i, j) of
 the k-th power is 1 exactly when the digraph has an i -> j walk of length
-k.  Every scan stops at the first all-positive power or row: a primitive
-matrix has no zero column, so every later power or row is all-positive
-too.  The Wielandt bound (n-1)**2 + 1 only certifies non-primitivity: a
-primitive matrix turns all-positive by then, so powers that reach it
-without one prove non-primitivity, stepped (`_powers`), squared
-(`has_positive_power`) or batched (`batch_exponents`).  Powering refuses
-orders above MAX_POWERING_ORDER and the row walk above MAX_ROW_WALK_ORDER,
-in `check_*_order`, which callers run before they build the matrix.
+k.  Every scan stops at the first all-positive power: a primitive matrix
+has no zero column, so every later power is all-positive too.  The
+Wielandt bound (n-1)**2 + 1 only certifies non-primitivity: powers that
+reach it without an all-positive one, stepped (`_powers`) or batched
+(`batch_exponents`), prove it.  Powering refuses orders above
+MAX_POWERING_ORDER, in `check_powering_order`, which callers run before
+they build the matrix; `formulas.local_exponents_from_last` answers the
+companion local exponents of any order.
 
 Two layouts each have a general boolean-semiring kernel with no
 companion structure, which keeps the oracle independent of the rules.
-Per-spec questions (`exp`, `local-exp`, the local-exponent table) pack
+Per-matrix questions (exponents, primitivity, local exponents) pack
 one matrix of order n into one int, row i (1-based) in the n-bit slot at
 bits (i-1)n .. in-1, and every product is
 
@@ -22,10 +22,10 @@ bits (i-1)n .. in-1, and every product is
 `(p >> k) & slots` keeps bit 0 of each slot exactly when that row of p
 has column k set.  Every row of Y is below 2**n, so the multiply copies
 row k of Y into those slots and nowhere else, with no carry from one slot
-into the next; a single row is a one-slot p.  Questions about every row
-of an order (the census check, `verify`) bit-slice the batch instead, for
-`batch_exponents`: entry (i, j) is one int with bit r for matrix r, so
-one AND per nonzero entry steps every matrix at once.
+into the next.  Questions about every row of an order (the census check,
+`verify`) bit-slice the batch instead, for `batch_exponents`: entry (i, j)
+is one int with bit r for matrix r, so one AND per nonzero entry steps
+every matrix at once.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from typing import Iterator, Sequence
 
 from .core import BoolMatrix, wielandt_bound
 
-MAX_POWERING_ORDER = 86  # exponent, local_exponent_table: up to (n-1)**2 + 1 products of packed matrices
-MAX_ROW_WALK_ORDER = 180  # local_exponent, row_exponent(s): one row stepped up to (n-1)**2 + 1 times
+MAX_POWERING_ORDER = 86  # every per-matrix question and the batch: up to (n-1)**2 + 1 products
 
 
 class NotPrimitiveError(ValueError):
@@ -49,11 +48,6 @@ class NotPrimitiveError(ValueError):
 def check_powering_order(n: int) -> None:
     if n > MAX_POWERING_ORDER:
         raise ValueError(f"order {n} above MAX_POWERING_ORDER = {MAX_POWERING_ORDER}")
-
-
-def check_row_walk_order(n: int) -> None:
-    if n > MAX_ROW_WALK_ORDER:
-        raise ValueError(f"order {n} above MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}")
 
 
 def _slots(n: int) -> int:
@@ -101,21 +95,11 @@ def bool_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
 
 
 def has_positive_power(m: BoolMatrix) -> bool:
-    """Primitivity test: is some power within the Wielandt bound all-positive?
-
-    The packed matrix is squared until it is all-positive or its power
-    reaches the bound.  An all-positive power stays all-positive, and a
-    primitive matrix is all-positive by the bound, so this decides the
-    same question as the single power at the bound.
-    """
-    n = m.n
-    full = (1 << (n * n)) - 1
-    slots = _slots(n)
-    power, length = _pack(m), 1
-    while power != full and length < wielandt_bound(n):
-        power = _times(power, _unpack(power, n), slots)
-        length *= 2
-    return power == full
+    """Primitivity test: is some power within the Wielandt bound all-positive?"""
+    try:
+        return exponent(m) > 0
+    except NotPrimitiveError:
+        return False
 
 
 def batch_exponents(m: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -146,11 +130,6 @@ def batch_exponents(m: Sequence[Sequence[int]]) -> dict[int, int]:
     return masks
 
 
-def _check_vertex(m: BoolMatrix, i: int) -> None:
-    if not 1 <= i <= m.n:
-        raise ValueError(f"vertex {i} out of [1, {m.n}]")
-
-
 def exponent(m: BoolMatrix) -> int:
     """Smallest k with m**k all-positive: the length of the power sequence.
 
@@ -158,45 +137,6 @@ def exponent(m: BoolMatrix) -> int:
     all-positive (and hence none is), ValueError above MAX_POWERING_ORDER.
     """
     return sum(1 for _ in _powers(m))
-
-
-def _require_row_walk(m: BoolMatrix) -> None:
-    check_row_walk_order(m.n)
-    if not has_positive_power(m):
-        raise NotPrimitiveError(f"matrix of order {m.n} is not primitive")
-
-
-def _settles(m: BoolMatrix, i: int, want: int) -> int:
-    """Smallest k such that walks from i of every length >= k reach all of `want`, for a
-    primitive m: one past the last length whose walk misses some, stepping row i until it is full."""
-    full = (1 << m.n) - 1
-    walk, length, settles = 1 << (i - 1), 0, 1
-    while walk != full:
-        walk, length = _times(walk, m.rows, 1), length + 1
-        if walk & want != want:
-            settles = length + 1
-    return settles
-
-
-def local_exponent(m: BoolMatrix, i: int, j: int) -> int:
-    """Smallest k such that i -> j walks of every length >= k exist."""
-    _check_vertex(m, i)
-    _check_vertex(m, j)
-    _require_row_walk(m)
-    return _settles(m, i, 1 << (j - 1))
-
-
-def row_exponent(m: BoolMatrix, i: int) -> int:
-    """Smallest k such that row i of m**k (and of every later power) is all-positive."""
-    _check_vertex(m, i)
-    _require_row_walk(m)
-    return _settles(m, i, (1 << m.n) - 1)
-
-
-def row_exponents(m: BoolMatrix) -> tuple[int, ...]:
-    """row_exponent(m, i) for i = 1..n, with one primitivity proof for the whole matrix."""
-    _require_row_walk(m)
-    return tuple(_settles(m, i, (1 << m.n) - 1) for i in range(1, m.n + 1))
 
 
 @dataclass(frozen=True)
@@ -207,6 +147,8 @@ class LocalExponentTable:
     values: tuple[tuple[int, ...], ...]
 
     def get(self, i: int, j: int) -> int:
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"({i}, {j}) out of [1, {self.n}]^2")
         return self.values[i - 1][j - 1]
 
 
@@ -231,3 +173,14 @@ def local_exponent_table(m: BoolMatrix) -> LocalExponentTable:
             values[low.bit_length() - 1] = length + 1
             missing ^= low
     return LocalExponentTable(n, tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n)))
+
+
+def local_exponent(m: BoolMatrix, i: int, j: int) -> int:
+    """Smallest k such that i -> j walks of every length >= k exist."""
+    return local_exponent_table(m).get(i, j)
+
+
+def row_exponent(m: BoolMatrix, i: int) -> int:
+    """Smallest k such that row i of m**k (and of every later power) is all-positive."""
+    table = local_exponent_table(m)
+    return max(table.get(i, j) for j in range(1, m.n + 1))

@@ -4,16 +4,19 @@ Each family re-derives a batch of facts two independent ways (closed form
 against enumeration, gcd test against powering) and reports one PASS/FAIL
 line.  Each order has one census walk (`counting._walk`) and one bit-sliced
 powering batch (`counting.powered_census`), both masks of rows by exponent.
-Primitivity and local-exponent-maxima read the batch; dispatch-soundness is
-the census's own three-way check of every primitive row's walk exponent
-against that batch and against the closed-form rule, where one applies.
-Counting and membership read the walk masks, which dispatch-soundness has
-checked, so the count formulas are compared with an enumeration that does
-not assume the rule they were derived from.  Cycle-structure's walk counter
-stops each spec at its first repeated power: the frontier sets matched it at
-both steps, so every later step of both walks repeats one already compared.
-Families honor the requested maximum order but keep their own caps where
-the work grows too fast to be useful at the command line.
+Primitivity and local-exponent-maxima read the batch; the latter holds each
+exponent against the local-exponent table and n - 1 plus the largest walk
+exponent from vertex n, after the published local exponents.
+Dispatch-soundness is the census's own three-way check of every primitive
+row's walk exponent against that batch and against the closed-form rule,
+where one applies.  Counting and membership read the walk masks, which
+dispatch-soundness has checked, so the count formulas are compared with an
+enumeration that does not assume the rule they were derived from.
+Cycle-structure's walk counter stops each spec at its first repeated power:
+the frontier sets matched it at both steps, so every later step of both
+walks repeats one already compared.  Families honor the requested maximum
+order but keep their own caps where the work grows too fast to be useful at
+the command line.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import counting, frobenius, oracle
+from . import counting, formulas, frobenius, oracle
 from .core import (
     BoolMatrix,
     CompanionSpec,
@@ -90,19 +93,30 @@ def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: _Masks) 
     return CheckResult("primitivity", True, f"{checked} irreducible specs to order {max(irreducible)}")
 
 
+# j -> exp(1 -> j) for the rows whose local exponents the paper works out
+_PUBLISHED = {"10011000": {4: 15, 5: 16}, "1101100100010010": {15: 18, 12: 20}}
+
+
 def _check_local_exponent_maxima(primitive: _Specs, powered: _Masks) -> CheckResult:
+    for row, published in _PUBLISHED.items():
+        spec = CompanionSpec(len(row), row)
+        m, from_last = companion_matrix(spec), formulas.local_exponents_from_last(spec)
+        for j, value in published.items():
+            found = {oracle.local_exponent(m, 1, j), spec.n - 1 + from_last[j - 1]}
+            if found != {value}:
+                return CheckResult("local-exponent-maxima", False,
+                                   f"{spec.n} {row}: exp(1 -> {j}) in {sorted(found)}, published {value}")
     for n, specs in primitive.items():
         for spec in specs:
-            m = companion_matrix(spec)
-            table = oracle.local_exponent_table(m)
+            table = oracle.local_exponent_table(companion_matrix(spec))
             y = int(spec.row_string[1:], 2)
             overall = next((e for e, mask in powered[n].items() if mask >> y & 1), None)
             max_local = max(map(max, table.values))
-            max_row = max(oracle.row_exponents(m))
-            if not overall == max_local == max_row:
+            from_last = n - 1 + max(formulas.local_exponents_from_last(spec))
+            if not overall == max_local == from_last:
                 return CheckResult(
                     "local-exponent-maxima", False,
-                    f"{spec.n} {spec.row_string}: exp={overall} max_local={max_local} max_row={max_row}")
+                    f"{spec.n} {spec.row_string}: exp={overall} max_local={max_local} from_last={from_last}")
     checked = sum(map(len, primitive.values()))
     return CheckResult("local-exponent-maxima", True, f"{checked} primitive specs to order {max(primitive)}")
 

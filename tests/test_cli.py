@@ -25,8 +25,14 @@ from companion_exponents.counting import (
 )
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
-from companion_exponents.oracle import MAX_POWERING_ORDER, MAX_ROW_WALK_ORDER
-from helpers import first_repeated_power, irreducible_rows, with_row_exponent
+from companion_exponents.oracle import MAX_POWERING_ORDER
+from helpers import (
+    first_repeated_power,
+    irreducible_rows,
+    local_exponent_from_last,
+    row_cycle_gcd,
+    with_row_exponent,
+)
 
 # SHA-256 of `verify --n-max n` stdout, taken before dispatch-soundness became
 # a loop over the census check (order 12: before powering became one batch per
@@ -177,6 +183,24 @@ class TestLocalExp:
     def test_imprimitive(self, capsys):
         code, _, _ = run(capsys, "local-exp", "8", "10101010", "1", "1")
         assert code == 3
+
+    @given(st.integers(181, 400).flatmap(lambda n: st.tuples(
+        st.integers(0, (1 << (n - 1)) - 1).map(lambda y: "1" + format(y, f"0{n - 1}b")),
+        st.integers(1, n), st.integers(1, n))))
+    @settings(max_examples=30, deadline=None)
+    def test_large_orders_match_the_walk_from_n(self, drawn):
+        # orders the powering oracle refuses; an imprimitive draw gets the cycle of length n - 1
+        row, i, j = drawn
+        n = len(row)
+        if row_cycle_gcd(row) != 1:
+            row = "11" + row[2:]
+        code, out, err, seconds = timed_run("local-exp", str(n), row, str(i), str(j))
+        assert (code, out, err) == (0, f"{max(1, n - i + local_exponent_from_last(row, j))}\n", "")
+        assert seconds < 1
+
+    def test_wielandt_row_at_order_20001(self, capsys):
+        n = 20_001
+        assert run(capsys, "local-exp", str(n), "11" + "0" * (n - 2), "1", "1") == (0, f"{(n - 1) ** 2 + 1}\n", "")
 
 
 class TestCensusCommand:
@@ -371,16 +395,6 @@ class TestOracleCensusAndConductorCapsExitTwo:
         assert "MAX_POWERING_ORDER" in err
         assert seconds < 1
 
-    @given(primitive_rows(MAX_ROW_WALK_ORDER + 1), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_row_walk(self, spec, data):
-        n, row = spec
-        i, j = (data.draw(st.integers(1, n)) for _ in range(2))
-        code, out, err, seconds = timed_run("local-exp", str(n), row, str(i), str(j))
-        assert (code, out) == (2, "")
-        assert "MAX_ROW_WALK_ORDER" in err
-        assert seconds < 1
-
     @given(st.integers(MAX_CHECKED_CENSUS_ORDER + 1, MAX_CENSUS_ORDER), st.sampled_from(("csv", "json")))
     @settings(max_examples=30, deadline=None)
     def test_checked_census(self, n, fmt):
@@ -409,24 +423,34 @@ class TestOracleCensusAndConductorCapsExitTwo:
 
 
 class TestRefusalsBuildNoMatrix:
-    """Above the powering and row-walk caps the CLI refuses before it builds the O(n**2)-bit matrix."""
+    """Above the powering and conductor caps the CLI refuses before it builds the O(n**2)-bit matrix."""
 
     N = 20_000
     LOWER_HALF = "1" * (N // 2) + "0" * (N // 2)  # no rule covers it
 
-    @pytest.mark.parametrize("argv, cap", [
-        (("exp", str(N), LOWER_HALF), f"MAX_POWERING_ORDER = {MAX_POWERING_ORDER}"),
-        (("exp", str(N), LOWER_HALF, "--oracle-only"), f"MAX_POWERING_ORDER = {MAX_POWERING_ORDER}"),
-        (("local-exp", str(N), LOWER_HALF, "1", str(N)), f"MAX_ROW_WALK_ORDER = {MAX_ROW_WALK_ORDER}"),
-    ])
-    def test_small_peak(self, argv, cap):
+    @staticmethod
+    def peak_run(*argv):
         tracemalloc.start()
         try:
             code, out, err, _ = timed_run(*argv)
-            peak = tracemalloc.get_traced_memory()[1]
+            return code, out, err, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("argv, cap", [
+        (("exp", str(N), LOWER_HALF), f"MAX_POWERING_ORDER = {MAX_POWERING_ORDER}"),
+        (("exp", str(N), LOWER_HALF, "--oracle-only"), f"MAX_POWERING_ORDER = {MAX_POWERING_ORDER}"),
+    ])
+    def test_small_peak(self, argv, cap):
+        code, out, err, peak = self.peak_run(*argv)
         assert (code, out, err) == (2, "", f"order {self.N} above {cap}\n")
+        assert peak < 2_000_000
+
+    def test_local_exp_over_the_conductor_cap_small_peak(self):
+        # |support| * l = 10 000 * 10 001: refused before the residue table is allocated
+        code, out, err, peak = self.peak_run("local-exp", str(self.N), self.LOWER_HALF, "1", str(self.N))
+        assert (code, out, err) == (2, "", f"smallest generator {self.N // 2 + 1} times {self.N // 2} generators "
+                                    f"exceeds the limit {MAX_CONDUCTOR_WORK} (MAX_CONDUCTOR_WORK)\n")
         assert peak < 2_000_000
 
     def test_gcd_refusal_comes_first(self, capsys):
@@ -434,6 +458,13 @@ class TestRefusalsBuildNoMatrix:
         message = f"imprimitive: gcd(L)=2 cycle lengths {{{', '.join(map(str, range(2, self.N + 1, 2)))}}}\n"
         for argv in (("exp", n, row), ("exp", n, row, "--oracle-only"), ("local-exp", n, row, "1", "1")):
             assert run(capsys, *argv) == (3, "", message)
+
+    def test_local_exp_gcd_refusal_comes_before_the_conductor_cap(self, capsys):
+        # support on the odd vertices below N / 2: every cycle length is even, and |support| * l = 5000 * 10 002
+        row = "10" * (self.N // 4) + "0" * (self.N // 2)
+        lengths = range(self.N // 2 + 2, self.N + 1, 2)
+        assert run(capsys, "local-exp", str(self.N), row, "1", "1") == (
+            3, "", f"imprimitive: gcd(L)=2 cycle lengths {{{', '.join(map(str, lengths))}}}\n")
 
 
 class TestVerify:
@@ -469,6 +500,27 @@ class TestVerify:
         assert self.failed_families(out) == [
             "FAIL dispatch-soundness: walk gave 26, dispatch rule TWO_CYCLES gave 27, "
             "oracle gave 26 for spec 6 110000"]
+
+    def test_local_exponent_maxima_failure_exit_four(self, capsys, monkeypatch):
+        real = formulas.local_exponents_from_last
+
+        def off_by_one(spec):
+            values = real(spec)
+            return values if (spec.n, spec.row_string) != (6, "110000") else tuple(e + 1 for e in values)
+
+        monkeypatch.setattr(formulas, "local_exponents_from_last", off_by_one)
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 4
+        assert self.failed_families(out) == [
+            "FAIL local-exponent-maxima: 6 110000: exp=26 max_local=26 from_last=27"]
+
+    def test_published_local_exponent_failure_exit_four(self, capsys, monkeypatch):
+        real = oracle.local_exponent
+        monkeypatch.setattr(oracle, "local_exponent", lambda m, i, j: real(m, i, j) + (m.n == 16 and j == 12))
+        code, out, _ = run(capsys, "verify", "--n-max", "3")
+        assert code == 4
+        assert self.failed_families(out) == [
+            "FAIL local-exponent-maxima: 16 1101100100010010: exp(1 -> 12) in [20, 21], published 20"]
 
     @staticmethod
     def move_row(monkeypatch, row, value):
@@ -550,7 +602,7 @@ class TestVerify:
 
     def test_no_per_spec_powering_outside_local_exponent_maxima(self, monkeypatch):
         # dispatch-soundness and primitivity read the batch; local-exponent-maxima
-        # (orders 3..8) proves primitivity once per primitive spec, in row_exponents
+        # (orders 3..8) powers each primitive spec once, in local_exponent_table
         calls = Counter()
         for name in ("exponent", "has_positive_power"):
             real = getattr(oracle, name)
@@ -561,7 +613,7 @@ class TestVerify:
 
             monkeypatch.setattr(oracle, name, counted)
         assert all(result.passed for result in verify.run_all(11))
-        assert calls == {("has_positive_power", n): counting.count_primitive(n) for n in range(3, 9)}
+        assert calls == {}
 
     def test_walk_counter_stops_at_the_first_repeated_power(self, monkeypatch):
         # once a power repeats, its frontiers repeat too, so every later step was already checked
@@ -601,7 +653,8 @@ class TestVerify:
         assert self.failed_families(out) == ["FAIL cycle-structure: walk mismatch at 6 100100 (2,5,8)"]
 
     def test_one_spec_per_irreducible_row(self, monkeypatch):
-        # dispatch-soundness reads the specs run_all holds instead of building its own
+        # dispatch-soundness reads the specs run_all holds instead of building its own;
+        # local-exponent-maxima adds one for each row with published local exponents
         made = Counter()
         real = CompanionSpec.__post_init__
 
@@ -611,7 +664,7 @@ class TestVerify:
 
         monkeypatch.setattr(CompanionSpec, "__post_init__", counted)
         assert all(result.passed for result in verify.run_all(11))
-        assert made == {n: 1 << (n - 1) for n in range(3, 12)}  # 2044 in all
+        assert made == {n: (1 << (n - 1)) + (n == 8) for n in range(3, 12)} | {16: 1}  # 2044 + 2 in all
 
     def test_specs_enumerated_once_per_order(self, monkeypatch):
         calls = Counter()

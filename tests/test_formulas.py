@@ -19,6 +19,7 @@ from companion_exponents import (
     is_primitive,
     is_special_vertex,
     local_exponent,
+    local_exponent_table,
     longest_run,
     oracle_exponent,
     origin_local_exponent,
@@ -145,6 +146,66 @@ class TestRulesPastPowering:
             assume(False)
         event(report.rule)
         assert report.value == helpers.structural_exponent(row)
+
+
+@st.composite
+def primitive_rows(draw, min_order, max_order):
+    """Primitive rows, dense or thinned by ANDing up to three random masks; an imprimitive
+    draw gets the cycle of length n - 1."""
+    n = draw(st.integers(min_order, max_order))
+    y = (1 << (n - 1)) - 1
+    for _ in range(draw(st.integers(0, 3))):
+        y &= draw(st.integers(0, (1 << (n - 1)) - 1))
+    row = "1" + format(y, f"0{n - 1}b")
+    return row if helpers.row_cycle_gcd(row) == 1 else "11" + row[2:]
+
+
+class TestLocalExponentsFromLast:
+    """exp(i -> j) = max(1, n - i + e(n -> j)), with e read off the conductor's residue table."""
+
+    @staticmethod
+    def from_last(row):
+        return formulas.local_exponents_from_last(CompanionSpec(len(row), row))
+
+    def test_every_pair_of_small_orders(self):
+        for n in range(2, 9):
+            for spec in primitive_specs(n):
+                table = local_exponent_table(companion_matrix(spec))
+                e = self.from_last(spec.row_string)
+                assert table.values == tuple(tuple(max(1, n - i + e_j) for e_j in e) for i in range(1, n + 1))
+
+    @given(primitive_rows(2, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_every_pair_against_the_table(self, row):
+        n, e = len(row), self.from_last(row)
+        table = local_exponent_table(companion_matrix(CompanionSpec(n, row)))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert table.get(i, j) == max(1, n - i + e[j - 1])
+
+    @given(primitive_rows(65, 600), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_from_n_past_powering(self, row, data):
+        e = self.from_last(row)
+        assert len(row) - 1 + max(e) == helpers.structural_exponent(row)
+        for j in data.draw(st.lists(st.integers(1, len(row)), min_size=1, max_size=3)):
+            assert e[j - 1] == helpers.local_exponent_from_last(row, j)
+
+    def test_loop_at_n_counts_the_empty_walk(self):
+        assert self.from_last("11")[-1] == self.from_last("10011001")[-1] == 0
+        assert self.from_last("10011000")[-1] == 12  # without the loop: the conductor of {4, 5, 8}
+
+    def test_not_primitive_before_the_conductor_cap(self):
+        # support on the odd vertices below 10 000 of order 20 000: even cycle lengths, |support| * l = 5000 * 10 002
+        with pytest.raises(NotPrimitiveError):
+            self.from_last("10" * 5000 + "0" * 10_000)
+        with pytest.raises(NotPrimitiveError):
+            self.from_last("0" + "1" * 7)
+
+    def test_conductor_cap(self):
+        # lower half of order 4000: |support| * l = 2000 * 2001
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
+            self.from_last("1" * 2000 + "0" * 2000)
 
 
 class TestReportsPinned:

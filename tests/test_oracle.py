@@ -22,6 +22,7 @@ from companion_exponents import (
     row_exponent,
     wielandt_bound,
 )
+from companion_exponents.formulas import local_exponents_from_last
 from helpers import (
     bit_slice,
     irreducible_rows,
@@ -259,6 +260,14 @@ class TestLocalExponent:
         with pytest.raises(ValueError):
             local_exponent(m, 1, 4)
 
+    def test_table_refuses_vertices_outside_the_order(self):
+        # Python indexing would read row 0 as row 4 and raise IndexError at row 5
+        table = local_exponent_table(companion_matrix(CompanionSpec(4, "1100")))
+        assert (table.get(1, 1), table.get(4, 1)) == (10, 7)
+        for i, j in ((0, 1), (5, 1), (1, 0), (1, 5), (-1, -1)):
+            with pytest.raises(ValueError, match=r"out of \[1, 4\]"):
+                table.get(i, j)
+
 
 class TestRowExponent:
     def test_all_ones_row(self):
@@ -268,19 +277,6 @@ class TestRowExponent:
     def test_top_row_equals_exponent_for_zero_trace(self):
         m = companion_matrix(CompanionSpec(16, "1101100100010010"))
         assert row_exponent(m, 1) == oracle_exponent(m) == 22
-
-    @given(general_matrices(8))
-    @example(BoolMatrix(1, (0,)))
-    @example(BoolMatrix(1, (1,)))
-    @settings(deadline=None)
-    def test_row_exponents_match_row_exponent(self, m):
-        try:
-            expected = tuple(row_exponent(m, i) for i in range(1, m.n + 1))
-        except NotPrimitiveError:
-            with pytest.raises(NotPrimitiveError):
-                oracle.row_exponents(m)
-            return
-        assert oracle.row_exponents(m) == expected
 
 
 class TestExponentMaxima:
@@ -350,31 +346,25 @@ class TestWalkSemantics:
 
 
 class TestStoppingRule:
-    """Every scan stops at the first all-positive power or row; only non-primitive input reaches the bound."""
-
-    @staticmethod
-    def count_products(mp):
-        """Count oracle._times calls: matrix products, and row steps (one-slot products, orders >= 2)."""
-        calls = Counter()
-        real = oracle._times
-
-        def counted(p, rows, slots):
-            calls["row" if slots == 1 else "matrix"] += 1
-            return real(p, rows, slots)
-
-        mp.setattr(oracle, "_times", counted)
-        return calls
+    """Every scan stops at the first all-positive power; only non-primitive input reaches the bound."""
 
     @given(general_matrices(10))
     @settings(deadline=None)
     def test_exponent_takes_exp_minus_one_products(self, m):
+        calls = Counter()
+        real = oracle._times
+
+        def counted(p, rows, slots):
+            calls["product"] += 1
+            return real(p, rows, slots)
+
         with pytest.MonkeyPatch.context() as mp:
-            calls = self.count_products(mp)
+            mp.setattr(oracle, "_times", counted)
             try:
                 value = oracle_exponent(m)
             except NotPrimitiveError:
                 value = wielandt_bound(m.n)  # the sequence runs to the bound to certify it
-            assert sum(calls.values()) == value - 1
+            assert calls["product"] == value - 1
 
     def test_table_holds_exp_powers(self, monkeypatch):
         real = oracle._powers
@@ -392,16 +382,6 @@ class TestStoppingRule:
             local_exponent_table(m)
             assert len(held) == oracle_exponent(m)
 
-    def test_row_walk_stops_when_the_row_fills(self, monkeypatch):
-        calls = self.count_products(monkeypatch)
-        for spec in primitive_specs(range(2, 8)):
-            m = companion_matrix(spec)
-            for i in range(1, spec.n + 1):
-                settled = row_exponent(m, i)
-                calls.clear()
-                local_exponent(m, i, 1)
-                assert calls["row"] == settled
-
 
 class TestStructuralWalk:
     """The per-row reach-set walk of tests/helpers.py against powering."""
@@ -417,15 +397,13 @@ class TestStructuralWalk:
     @given(primitive_companion_rows(17, 64), st.data())
     @settings(max_examples=60, deadline=None)
     def test_local_exponent_is_forced_steps_plus_walk_from_n(self, row, data):
-        # a walk from i < n is forced for n - i steps, to vertex n
-        n = len(row)
-        i, j = (data.draw(st.integers(1, n)) for _ in range(2))
-        m = companion_matrix(CompanionSpec(n, row))
-        assert local_exponent(m, i, j) == max(1, (n - i) + local_exponent_from_last(row, j))
+        # e(n -> j) from the residue table against the reach sets from vertex n
+        j = data.draw(st.integers(1, len(row)))
+        assert local_exponents_from_last(CompanionSpec(len(row), row))[j - 1] == local_exponent_from_last(row, j)
 
 
 class TestOrderCaps:
-    """Each oracle path refuses orders above its cap before doing any work."""
+    """Every per-matrix oracle question refuses orders above the powering cap before doing any work."""
 
     @staticmethod
     def wielandt(n):
@@ -433,19 +411,13 @@ class TestOrderCaps:
 
     def test_powering_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
-        assert oracle_exponent(self.wielandt(8)) == wielandt_bound(8)
-        assert local_exponent_table(self.wielandt(8)).get(1, 1) == wielandt_bound(8)
-        for call in (oracle_exponent, local_exponent_table):
+        m = self.wielandt(8)
+        assert has_positive_power(m)
+        assert oracle_exponent(m) == local_exponent(m, 1, 1) == row_exponent(m, 1) == wielandt_bound(8)
+        for call in (oracle_exponent, local_exponent_table, has_positive_power,
+                     lambda m: local_exponent(m, 1, 1), lambda m: row_exponent(m, 1)):
             with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
                 call(self.wielandt(9))
 
-    def test_row_walk_cap(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_ROW_WALK_ORDER", 8)
-        assert row_exponent(self.wielandt(8), 1) == local_exponent(self.wielandt(8), 1, 1) == wielandt_bound(8)
-        assert max(oracle.row_exponents(self.wielandt(8))) == wielandt_bound(8)
-        for call in (lambda m: row_exponent(m, 1), lambda m: local_exponent(m, 1, 1), oracle.row_exponents):
-            with pytest.raises(ValueError, match="MAX_ROW_WALK_ORDER"):
-                call(self.wielandt(9))
-
     def test_caps_stay_above_the_benchmarked_orders(self):
-        assert min(oracle.MAX_POWERING_ORDER, oracle.MAX_ROW_WALK_ORDER) > 64
+        assert oracle.MAX_POWERING_ORDER > 64
