@@ -413,9 +413,16 @@ class TestOrderCaps:
         monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
         m = self.wielandt(8)
         assert has_positive_power(m)
-        assert oracle_exponent(m) == local_exponent(m, 1, 1) == row_exponent(m, 1) == wielandt_bound(8)
-        for call in (oracle_exponent, local_exponent_table, has_positive_power,
-                     lambda m: local_exponent(m, 1, 1), lambda m: row_exponent(m, 1)):
+        assert oracle_exponent(m) == local_exponent_table(m).get(1, 1) == wielandt_bound(8)
+        for call in (oracle_exponent, local_exponent_table, has_positive_power):
+            with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
+                call(self.wielandt(9))
+
+    def test_row_walk_cap(self, monkeypatch):
+        # the row questions once walked one row under their own cap; they now read the powers
+        monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
+        assert row_exponent(self.wielandt(8), 1) == local_exponent(self.wielandt(8), 1, 1) == wielandt_bound(8)
+        for call in (lambda m: row_exponent(m, 1), lambda m: local_exponent(m, 1, 1)):
             with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
                 call(self.wielandt(9))
 
