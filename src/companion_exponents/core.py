@@ -37,7 +37,7 @@ def _parse_bits(row: Sequence[int] | str) -> tuple[int, ...]:
     bits = tuple(row)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"row bits must be 0 or 1, got {bits!r}")
-    return bits
+    return tuple(map(int, bits))  # 1.0 and True pass the check; store the ints they equal
 
 
 @dataclass(frozen=True)

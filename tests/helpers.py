@@ -5,9 +5,9 @@ nested lists, cycle enumeration goes through networkx, walk checks step
 frontier sets, companion exponents come from a per-row reach-set walk,
 the census walk builds its support masks by division, batches are
 bit-sliced one matrix entry at a time, representability
-does a bounded coefficient search, and string statistics are measured on
-explicitly enumerated strings or by a bit-by-bit scan of every string at
-once.
+does a bounded coefficient search or a sieve, and string statistics are
+measured on explicitly enumerated strings or by a bit-by-bit scan of
+every string at once.
 """
 
 from __future__ import annotations
@@ -160,6 +160,16 @@ def coefficient_search_representable(x: int, gens) -> bool:
         return any(search(rest - c * g, idx + 1) for c in range(rest // g + 1))
 
     return search(x, 0)
+
+
+def representable_sieve(gens, limit: int) -> list[bool]:
+    """table[x] for 0 <= x <= limit: is x a sum of generators with repetition."""
+    gens = tuple(sorted(set(gens)))
+    table = [False] * (limit + 1)
+    table[0] = True
+    for x in range(1, limit + 1):
+        table[x] = any(table[x - g] for g in gens if g <= x)
+    return table
 
 
 def scan_conductor(gens) -> int:

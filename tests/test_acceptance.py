@@ -33,7 +33,7 @@ from companion_exponents import (
     wielandt_bound,
 )
 from companion_exponents.core import longest_run
-from helpers import binary_strings, irreducible_rows, longest_zero_run
+from helpers import binary_strings, irreducible_rows, longest_zero_run, representable_sieve
 
 KNOWN_IMPRIMITIVE_TAILS_8 = {
     "0000000", "0100000", "0001000", "0000010",
@@ -184,6 +184,16 @@ def test_criterion_10_string_counts():
     report(10, "string counts match explicit sets and exhaustive enumeration for n<=12")
 
 
+def certify_window(c, gens):
+    """c - 1 is not representable and the next max(gens) + 1 integers are, by the
+    test sieve and by `representable`; the window then covers every larger integer."""
+    table = representable_sieve(gens, c + max(gens))
+    if c > 0:
+        assert not table[c - 1] and not representable(c - 1, gens)
+    assert all(table[c:])
+    assert all(representable(x, gens) for x in range(c, c + max(gens) + 1))
+
+
 def test_criterion_11_conductor_formulas():
     pairs = 0
     for a in range(2, 31):
@@ -192,9 +202,7 @@ def test_criterion_11_conductor_formulas():
                 continue
             c = pair_conductor(a, b)
             assert c == conductor((a, b))
-            if c > 0:
-                assert not representable(c - 1, (a, b))
-            assert all(representable(x, (a, b)) for x in range(c, c + b + 1))
+            certify_window(c, (a, b))
             pairs += 1
     progressions = 0
     for start in range(2, 13):
@@ -205,9 +213,7 @@ def test_criterion_11_conductor_formulas():
                 gens = tuple(start + j * step for j in range(steps + 1))
                 c = progression_conductor(start, step, steps)
                 assert c == conductor(gens)
-                if c > 0:
-                    assert not representable(c - 1, gens)
-                assert all(representable(x, gens) for x in range(c, c + max(gens) + 1))
+                certify_window(c, gens)
                 progressions += 1
     report(11, f"pair and progression formulas match conductor() "
                f"({pairs} pairs, {progressions} progressions), windows certified by the sieve")

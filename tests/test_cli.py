@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from companion_exponents import BoolMatrix, CompanionSpec, companion_matrix, counting, formulas, oracle, verify
+from companion_exponents import (
+    BoolMatrix, CompanionSpec, companion_matrix, counting, formulas, frobenius, oracle, verify,
+)
 from companion_exponents.counting import (
     MAX_CENSUS_ORDER,
     MAX_CHECKED_CENSUS_ORDER,
@@ -161,12 +163,20 @@ class TestExp:
         assert "MAX_POWERING_ORDER" in err
         assert run(capsys, "exp", str(n), uncovered, "--rule-only") == (4, "", "no closed-form rule applies\n")
 
-    def test_conductor_cap_refuses_a_rule_covered_row(self, capsys):
-        # BLOCK_V1_PREFIX covers the row, but its conductor has a = 1001 and 98 000 generators
+    def test_block_prefix_row_with_repeated_classes_answers(self, capsys):
+        # 98 000 cycle lengths, but only 1001 residue classes modulo a = 1001 reach the conductor:
+        # every length from 1001 to 98 999 is one, so the conductor is 1001
         n = 100_000
         row = "1" + "0" * 1000 + "1" * (n - 2001) + "0" * 1000
+        assert run(capsys, "exp", str(n), row) == (0, "exp=102001 rule=BLOCK_V1_PREFIX\n", "")
+
+    def test_conductor_cap_refuses_a_rule_covered_row(self, capsys):
+        # a = 2002 with all 2002 residue classes present: 2002 * 2002 is over the cap
+        n = 10_000
+        row = "1" + "0" * 2001 + "1" * (n - 4003) + "0" * 2001
+        assert 2002 * 2002 > MAX_CONDUCTOR_WORK
         assert run(capsys, "exp", str(n), row) == (
-            2, "", f"smallest generator 1001 times 98000 generators exceeds the limit {MAX_CONDUCTOR_WORK} "
+            2, "", f"smallest generator 2002 times 2002 generators exceeds the limit {MAX_CONDUCTOR_WORK} "
             "(MAX_CONDUCTOR_WORK)\n")
 
 
@@ -255,6 +265,13 @@ class TestCensusCommand:
         assert err.count("\n") == 1 and str(out_path) in err
         assert calls == []  # refused before the walk
 
+    def test_out_onto_a_directory_exit_two(self, capsys, tmp_path):
+        # the parent exists, so the census runs; the write's OSError becomes exit 2
+        code, out, err = run(capsys, "census", "3", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {tmp_path}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCountImprimitive:
     def test_count(self, capsys):
@@ -294,6 +311,11 @@ class TestFrobenius:
         assert code == 2
         assert out == ""
         assert str(MAX_CONDUCTOR_WORK) in err
+
+    def test_repeated_classes_answer(self, capsys):
+        # 2000 .. 4001 and 8000 leave 2000 classes modulo a = 2000, 2000 * 2000 at the cap
+        assert run(capsys, "frobenius", *map(str, range(2000, 4002)), "8000") == (
+            0, "conductor=2000 classical_frobenius=1999\n", "")
 
 
 class TestStrings:
@@ -654,7 +676,8 @@ class TestVerify:
 
     def test_one_spec_per_irreducible_row(self, monkeypatch):
         # dispatch-soundness reads the specs run_all holds instead of building its own;
-        # local-exponent-maxima adds one for each row with published local exponents
+        # local-exponent-maxima adds one for each row with published local exponents, and
+        # conductors one for each certified set, at its largest generator
         made = Counter()
         real = CompanionSpec.__post_init__
 
@@ -664,7 +687,21 @@ class TestVerify:
 
         monkeypatch.setattr(CompanionSpec, "__post_init__", counted)
         assert all(result.passed for result in verify.run_all(11))
-        assert made == {n: (1 << (n - 1)) + (n == 8) for n in range(3, 12)} | {16: 1}  # 2044 + 2 in all
+        certified = Counter([3, 5, 8, 7, 15, 11, 13])
+        assert made == {n: (1 << (n - 1)) + (n == 8) + certified[n] for n in range(3, 12)} | {13: 1, 15: 1, 16: 1}
+        assert sum(made.values()) == 2044 + 2 + 7
+
+    @pytest.mark.parametrize("name, target, line", [
+        ("pair_conductor", (7, 11), "pair formula off at (7, 11)"),
+        ("progression_conductor", (5, 1, 2), "progression formula off at (5, 6, 7)"),
+        ("conductor", ((6, 10, 15),), "(6, 10, 15): conductor 31, exp(15 -> 15) = 30"),
+    ])
+    def test_conductors_failure_exit_four(self, capsys, monkeypatch, name, target, line):
+        real = getattr(frobenius, name)
+        monkeypatch.setattr(frobenius, name, lambda *args: real(*args) + (args == target))
+        code, out, _ = run(capsys, "verify", "--n-max", "3")
+        assert code == 4
+        assert self.failed_families(out) == [f"FAIL conductors: {line}"]
 
     def test_specs_enumerated_once_per_order(self, monkeypatch):
         calls = Counter()

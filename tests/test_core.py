@@ -12,6 +12,7 @@ from companion_exponents import (
     ReducibleError,
     companion_matrix,
     cycle_lengths,
+    exponent,
     has_positive_power,
     imprimitivity_index,
     is_irreducible,
@@ -49,6 +50,18 @@ class TestCompanionSpec:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             CompanionSpec(3, (1, 2, 0))
+
+    def test_tuple_row(self):
+        assert CompanionSpec(8, (1, 0, 0, 1, 1, 0, 0, 0)) == CompanionSpec(8, "10011000")
+
+    def test_tuple_row_stores_ints(self):
+        # 1.0 and True equal 1, so they pass the bit check; the spec keeps the ints
+        spec = CompanionSpec(3, (1, 0, 1.0))
+        assert spec == CompanionSpec(3, (True, False, True)) == CompanionSpec(3, "101")
+        assert all(type(b) is int for b in spec.row)
+        assert spec.row_string == "101"
+        assert companion_matrix(spec) == companion_matrix(CompanionSpec(3, "101"))
+        assert exponent(spec) == exponent(CompanionSpec(3, "101"))
 
     # int() accepts the fullwidth digit "１" (and "+1", " 1"), so the parser must refuse them itself
     @pytest.mark.parametrize("row", ["", "1 01", " 101", "101\n", "012", "+1", "\uff110"])
@@ -88,6 +101,22 @@ class TestBoolMatrix:
             BoolMatrix.from_lists([[0, 1], [1]])
         with pytest.raises(ValueError):
             BoolMatrix.from_lists([[0, 2], [1, 0]])
+
+    def test_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError, match="need exactly n=3 row bitmasks, got 2"):
+            BoolMatrix(3, (1, 2))
+
+    @pytest.mark.parametrize("row", [-1, 8])
+    def test_rejects_out_of_range_row(self, row):
+        with pytest.raises(ValueError, match="row bitmask out of range"):
+            BoolMatrix(3, (1, 2, row))
+
+    def test_from_lists_round_trip(self):
+        entries = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
+        m = BoolMatrix.from_lists(entries)
+        assert m == BoolMatrix(3, (2, 4, 3))
+        assert m.to_lists() == entries
+        assert BoolMatrix.from_lists(m.to_lists()) == m
 
     def test_entry_bounds(self):
         m = BoolMatrix.identity(3)

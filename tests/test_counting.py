@@ -175,6 +175,10 @@ class TestStringCounts:
             with pytest.raises(ValueError, match="MAX_STRING_TABLE_LENGTH"):
                 call()
 
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="length must be >= 0, got -1"):
+            string_count_table(-1)
+
     def test_out_of_range_zero(self):
         assert f_strings(-1, 0, 0) == 0
         assert f_strings(6, 7, 2) == 0
@@ -215,6 +219,10 @@ class TestRunAvoidance:
         with pytest.raises(ValueError):
             t_runs(1, 5)
 
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="length must be >= 0, got -1"):
+            t_runs(2, -1)
+
     def test_matches_enumeration(self):
         for n in range(0, 12):
             for r in range(2, max(6, n + 3)):
@@ -251,6 +259,10 @@ class TestPositiveTraceCounts:
             count_positive_trace_with_exponent(8, 15)
         with pytest.raises(ValueError):
             count_positive_trace_with_exponent(8, 7)
+
+    def test_rejects_small_order(self):
+        with pytest.raises(ValueError, match="order must be >= 3, got 2"):
+            count_positive_trace_with_exponent(2, 2)
 
     def test_order_cap(self):
         n = MAX_RUN_AVOIDING_LENGTH + 2
@@ -306,6 +318,10 @@ class TestBlockPrefixUpperCount:
     def test_known_values(self):
         assert block_prefix_upper_count(7) == 13
         assert block_prefix_upper_count(8) == 23
+
+    def test_rejects_small_order(self):
+        with pytest.raises(ValueError, match="order must be >= 3, got 2"):
+            block_prefix_upper_count(2)
 
 
 class TestCensus:
@@ -495,8 +511,10 @@ class TestMembershipClaims:
     def test_two_coprime_preconditions(self):
         with pytest.raises(ValueError):
             two_coprime_exponent_claim(10, 4, 2)          # not coprime
-        with pytest.raises(ValueError):
-            two_coprime_exponent_claim(10, 5, 4)          # n - s does not dominate
+        with pytest.raises(ValueError, match="order 10 below the conductor"):
+            two_coprime_exponent_claim(10, 5, 4)          # n - s = 5 dominates, but the conductor is 12
+        with pytest.raises(ValueError, match="n - s = 3 must dominate s - t and t"):
+            two_coprime_exponent_claim(10, 7, 2)          # s - t = 5 > n - s
         with pytest.raises(ValueError):
             two_coprime_exponent_claim(10, 4, 5)          # s <= t
 
@@ -508,6 +526,8 @@ class TestMembershipClaims:
             gap_progression_exponent_claim(10, 4, 4)      # start below smallest cycle + 1
         with pytest.raises(ValueError):
             gap_progression_exponent_claim(10, 4, 7)      # divisor would vanish
+        with pytest.raises(ValueError, match=r"order 11 below q\*l = 20"):
+            gap_progression_exponent_claim(11, 5, 6)      # q = 3 // 1 + 1 = 4
 
     def test_claims_are_census_members(self, census_cache):
         assert two_coprime_exponent_claim(10, 4, 3) in census_cache(10).histogram

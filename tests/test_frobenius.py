@@ -1,6 +1,8 @@
-"""Conductor computations: residue shortest paths, sieve, pair and progression formulas."""
+"""Conductor computations: residue shortest paths, pair and progression formulas, against a sieve."""
 
 import math
+import timeit
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +18,7 @@ from companion_exponents import (
 )
 from companion_exponents import frobenius
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
-from helpers import coefficient_search_representable, scan_conductor
+from helpers import coefficient_search_representable, representable_sieve, scan_conductor
 
 coprime_sets = (
     st.sets(st.integers(2, 24), min_size=1, max_size=4)
@@ -58,6 +60,34 @@ class TestRepresentable:
     @given(st.integers(0, 60), st.sets(st.integers(2, 15), min_size=1, max_size=3))
     def test_matches_coefficient_search(self, x, gens):
         assert representable(x, gens) == coefficient_search_representable(x, tuple(gens))
+
+    @given(st.sets(st.integers(1, 40), min_size=1, max_size=6), st.integers(0, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sieve(self, gens, limit):
+        # any gcd: classes the generators cannot reach stay unrepresentable
+        assert [representable(x, gens) for x in range(limit + 1)] == representable_sieve(gens, limit)
+
+    def test_generators_above_x_are_not_folded(self):
+        # 1000 residue classes modulo 5000 would be over MAX_CONDUCTOR_WORK, but none is <= 3
+        assert not representable(3, range(5000, 6000))
+        assert representable(5001, range(5000, 6000))
+
+    def test_huge_x_reads_one_entry(self):
+        assert representable(10**18, (2, 3)) and not representable(10**18 + 1, (2, 4))
+        assert min(timeit.repeat(lambda: representable(10**18, (2, 3)), number=1, repeat=5)) < 1e-3
+        tracemalloc.start()
+        try:
+            representable(10**18, (2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_work_limit_counts_residue_classes(self, monkeypatch):
+        monkeypatch.setattr(frobenius, "MAX_CONDUCTOR_WORK", 20)
+        assert representable(89, (10, 11, 21, 31, 41)) is False  # two classes modulo 10
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
+            representable(89, (10, 11, 12))
 
 
 class TestPairConductor:
@@ -121,6 +151,16 @@ class TestConductor:
         with pytest.raises(NotCoprimeError):
             conductor((2,))
 
+    def test_repeated_classes_fold_once(self, monkeypatch):
+        # 21, 31, .. are 11 plus multiples of 10: they add nothing, and the work is 10 * 2
+        monkeypatch.setattr(frobenius, "MAX_CONDUCTOR_WORK", 20)
+        assert conductor((10, 11, 21, 31, 41, 30)) == 90
+        with pytest.raises(ValueError, match="smallest generator 10 times 3 generators exceeds the limit 20 "):
+            conductor((10, 11, 21, 32))
+        # least_residues itself still counts every generator it is given
+        with pytest.raises(ValueError, match="smallest generator 10 times 3 generators"):
+            frobenius.least_residues((10, 11, 21))
+
     def test_work_limit(self, monkeypatch):
         a = MAX_CONDUCTOR_WORK // 2
         with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
@@ -141,8 +181,10 @@ class TestConductor:
     @settings(max_examples=60, deadline=None)
     def test_certification_window(self, gens):
         c = conductor(gens)
+        table = representable_sieve(gens, c + max(gens))
         if c > 0:
-            assert not representable(c - 1, gens)
+            assert not table[c - 1] and not representable(c - 1, gens)
+        assert all(table[c:])
         assert all(representable(x, gens) for x in range(c, c + max(gens) + 1))
 
     @given(coprime_sets, st.integers(2, 30))
