@@ -39,15 +39,11 @@ from .counting import (
 )
 from .formulas import (
     ExponentReport,
-    LocalExpQuery,
     PreconditionError,
     block_prefix_exponent,
     exponent,
-    gap_rule_local_exponent,
-    is_special_vertex,
-    origin_local_exponent,
+    local_exponents_from_last,
     positive_trace_exponent,
-    reduce_to_support,
     require_primitive,
     smallest_cycle_two_exponent,
     two_cycle_exponent,
@@ -64,10 +60,8 @@ from .oracle import (
     LocalExponentTable,
     NotPrimitiveError,
     bool_product,
-    has_positive_power,
     local_exponent,
     local_exponent_table,
-    row_exponent,
 )
 from .oracle import exponent as oracle_exponent
 
@@ -79,7 +73,6 @@ __all__ = [
     "DispatchMismatchError",
     "ExponentReport",
     "GeneratorSet",
-    "LocalExpQuery",
     "LocalExponentTable",
     "NotCoprimeError",
     "NotPrimitiveError",
@@ -100,25 +93,20 @@ __all__ = [
     "exponent",
     "f_strings",
     "gap_progression_exponent_claim",
-    "gap_rule_local_exponent",
-    "has_positive_power",
     "imprimitivity_index",
     "is_irreducible",
     "is_primitive",
-    "is_special_vertex",
     "list_imprimitive",
     "local_exponent",
     "local_exponent_table",
+    "local_exponents_from_last",
     "longest_run",
     "oracle_exponent",
-    "origin_local_exponent",
     "pair_conductor",
     "positive_trace_exponent",
     "progression_conductor",
-    "reduce_to_support",
     "representable",
     "require_primitive",
-    "row_exponent",
     "smallest_cycle_two_exponent",
     "string_count_table",
     "t_runs",

@@ -60,27 +60,9 @@ class CompanionSpec:
             raise ValueError(f"row has {len(bits)} bits, expected n={self.n}")
         object.__setattr__(self, "row", bits)
 
-    @classmethod
-    def from_text(cls, text: str) -> "CompanionSpec":
-        """Parse the wire format: decimal order, whitespace, n-bit row ("8 10011000")."""
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'n row', got {text!r}")
-        try:
-            n = int(parts[0])
-        except ValueError:
-            raise ValueError(f"order is not an integer: {parts[0]!r}") from None
-        return cls(n, parts[1])
-
     @property
     def row_string(self) -> str:
         return "".join(map("01".__getitem__, self.row))  # shared one-character strings, no str() per bit
-
-    def bit(self, i: int) -> int:
-        """Row bit in 1-based column i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"column {i} out of [1, {self.n}]")
-        return self.row[i - 1]
 
 
 @dataclass(frozen=True)
@@ -173,11 +155,6 @@ class BoolMatrix:
     def identity(cls, n: int) -> "BoolMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def ones(cls, n: int) -> "BoolMatrix":
-        full = (1 << n) - 1
-        return cls(n, (full,) * n)
-
     def entry(self, i: int, j: int) -> int:
         """Entry in 1-based (row i, column j)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -186,11 +163,6 @@ class BoolMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
-
-    @property
-    def is_all_ones(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(r == full for r in self.rows)
 
 
 def companion_matrix(spec: CompanionSpec) -> BoolMatrix:

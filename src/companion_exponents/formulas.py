@@ -7,10 +7,9 @@ equals the true exponent; only the reported rule name depends on the
 order.
 
 Throughout, `zeros`/`support` split the vertices 1..n by the last row
-(see core.vertex_partition).  A support vertex j is *special* when the
-whole window [j - l + 1, j] sits inside the support, l being the smallest
-cycle length; walks from vertex 1 then hit j at every length >= n, which
-pins the local exponent exp(1 -> j) to n.
+(see core.vertex_partition).  Local exponents have one path,
+`local_exponents_from_last`, which reads every e(n -> j) off the
+conductor's residue table.
 
 Every rule reads one private facts object, built once per spec in time
 linear in the row: the sorted cycle lengths, the longest zero run and the
@@ -31,7 +30,6 @@ from .core import (
     companion_matrix,
     cycle_lengths,
     is_irreducible,
-    is_primitive,
 )
 from .frobenius import conductor, least_residues
 from .oracle import NotPrimitiveError
@@ -62,19 +60,6 @@ class ExponentReport:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-@dataclass(frozen=True)
-class LocalExpQuery:
-    """Reduction data for a local-exponent query from vertex 1.
-
-    Stepping `offset` back from `target` reaches the nearest support
-    vertex at or below it, so exp(1 -> target) equals
-    exp(1 -> target - offset) + offset.
-    """
-
-    target: int
-    offset: int
-
-
 def require_primitive(spec: CompanionSpec) -> tuple[int, ...]:
     """Cycle lengths of a primitive spec; otherwise NotPrimitiveError naming the gcd and lengths."""
     if not is_irreducible(spec):
@@ -101,18 +86,13 @@ class _SpecFacts:
         return cls(spec.n, int(bits[::-1], 2), lengths, max(map(len, bits.split("1"))))
 
 
-def _special(f: _SpecFacts, j: int) -> bool:
-    """Is j special?  One shift and one mask; below l the window sticks out past vertex 1, so never."""
-    l, window = f.lengths[0], (1 << f.lengths[0]) - 1
-    return j >= l and f.support >> (j - l) & window == window
-
-
 def _facts(spec: CompanionSpec | _SpecFacts, zero_trace: bool = False) -> _SpecFacts:
     """Facts of `spec`; PreconditionError unless primitive (and, with zero_trace, loop-free at n)."""
     if not isinstance(spec, _SpecFacts):
-        if not is_primitive(spec):
-            raise PreconditionError("spec is not primitive")
-        spec = _SpecFacts.of(spec, cycle_lengths(spec))
+        try:
+            spec = _SpecFacts.of(spec, require_primitive(spec))
+        except NotPrimitiveError:
+            raise PreconditionError("spec is not primitive") from None
     if zero_trace and spec.support >> (spec.n - 1):
         raise PreconditionError("rule needs zero trace (last row bit n must be 0)")
     return spec
@@ -142,17 +122,6 @@ def two_cycle_exponent(spec: CompanionSpec) -> ExponentReport:
     return ExponentReport(f.n + s * (f.n - 2), RULE_TWO_CYCLES, {"short_cycle": s})
 
 
-def origin_local_exponent(spec: CompanionSpec) -> int:
-    """exp(1 -> 1) for a zero-trace primitive spec: n + conductor(cycle lengths).
-
-    Closed walks from vertex 1 back to itself have length n plus a
-    nonnegative combination of the cycle lengths, so the lengths fill up
-    exactly from n + conductor onward.
-    """
-    f = _facts(spec, zero_trace=True)
-    return f.n + conductor(f.lengths)
-
-
 def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
     """e(n -> j) for j = 1..n: the least k such that walks from vertex n of every length >= k
     end at j, so exp(i -> j) = max(1, n - i + e(n -> j)).  NotPrimitiveError first.
@@ -178,59 +147,6 @@ def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
     if a == 1:  # the empty walk at n
         out[-1] = 0
     return tuple(out)
-
-
-def reduce_to_support(spec: CompanionSpec, j: int) -> LocalExpQuery:
-    """Reduce a query at a zero vertex j to the nearest support vertex below it.
-
-    The only edges into a zero vertex are the forced superdiagonal steps,
-    so every walk into j passes the anchor support vertex exactly
-    `offset` steps earlier: exp(1 -> j) = exp(1 -> j - offset) + offset.
-    """
-    f = _facts(spec, zero_trace=True)
-    if not 1 <= j <= f.n or f.support >> (j - 1) & 1:
-        raise PreconditionError(f"vertex {j} is not a zero vertex of the row")
-    anchor = (f.support & ((1 << j) - 1)).bit_length()
-    return LocalExpQuery(target=j, offset=j - anchor)
-
-
-def is_special_vertex(spec: CompanionSpec, j: int) -> bool:
-    """Does the window of smallest-cycle length ending at j sit inside the support?
-
-    Special vertices have exp(1 -> j) = n.  Windows that stick out past
-    vertex 1 never qualify.
-    """
-    f = _facts(spec, zero_trace=True)
-    if not 1 <= j <= f.n:
-        raise PreconditionError(f"vertex {j} out of [1, {f.n}]")
-    return _special(f, j)
-
-
-def gap_rule_local_exponent(spec: CompanionSpec, j: int) -> tuple[int, int | None]:
-    """Lower bound n + gap for exp(1 -> j) at a non-special support vertex.
-
-    `gap` is the largest backstep p below the smallest cycle length with
-    j - p a zero vertex.  When the vertex just under the gap (backstep
-    gap + 1) is special, the value is pinned to n + gap + 1 and is
-    returned as the second component; otherwise that component is None.
-
-    The pin is one more than the naive bound: a walk of length n + gap
-    would have to leave its final jump at a support vertex j - p with the
-    leftover p' = gap - p a positive cycle combination below the smallest
-    cycle length, which cannot exist, while the special vertex under the
-    gap delivers every length from n + gap + 1 up.
-    """
-    f = _facts(spec, zero_trace=True)
-    smallest = f.lengths[0]
-    if not 1 <= j <= f.n or not f.support >> (j - 1) & 1:
-        raise PreconditionError(f"vertex {j} is not a support vertex")
-    if j < smallest:
-        raise PreconditionError(f"rule needs j >= smallest cycle length {smallest}")
-    if _special(f, j):
-        raise PreconditionError(f"vertex {j} is special, its local exponent is n")
-    # the window ending at j is not all support, so some backstep lands on a zero
-    gap = next(p for p in range(smallest - 1, 0, -1) if not f.support >> (j - p - 1) & 1)
-    return f.n + gap, (f.n + gap + 1 if _special(f, j - gap - 1) else None)
 
 
 def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
@@ -259,7 +175,7 @@ def smallest_cycle_two_exponent(spec: CompanionSpec) -> ExponentReport:
     With a 2-cycle present, exp(1 -> j) at a support vertex j is
     n + min(p, s) - 1: s is the smallest odd cycle length and p the
     smallest odd backstep from j into the support, j minus the latest
-    support vertex below j of the other parity (p = 1 makes j special).
+    support vertex below j of the other parity (p = 1 gives exp(1 -> j) = n).
     Zero vertices reduce to the support vertex below; the exponent is the
     maximum over all vertices, in one ascending pass.
     """

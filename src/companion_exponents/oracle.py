@@ -13,9 +13,10 @@ companion local exponents of any order.
 
 Two layouts each have a general boolean-semiring kernel with no
 companion structure, which keeps the oracle independent of the rules.
-Per-matrix questions (exponents, primitivity, local exponents) pack
-one matrix of order n into one int, row i (1-based) in the n-bit slot at
-bits (i-1)n .. in-1, and every product is
+Per-matrix questions (`exponent`, whose NotPrimitiveError is the
+primitivity test, and `local_exponent_table`) pack one matrix of order
+n into one int, row i (1-based) in the n-bit slot at bits
+(i-1)n .. in-1, and every product is
 
     p . Y = OR_k ((p >> k) & slots) * Y.rows[k],   slots = sum_i 2**(i*n)
 
@@ -94,14 +95,6 @@ def bool_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
     return BoolMatrix(x.n, _unpack(_times(_pack(x), y.rows, _slots(x.n)), x.n))
 
 
-def has_positive_power(m: BoolMatrix) -> bool:
-    """Primitivity test: is some power within the Wielandt bound all-positive?"""
-    try:
-        return exponent(m) > 0
-    except NotPrimitiveError:
-        return False
-
-
 def batch_exponents(m: Sequence[Sequence[int]]) -> dict[int, int]:
     """Exponent -> mask of the matrices attaining it, for a batch m bit-sliced so that entry (i, j)
     holds bit r for matrix r: each step is P[i][j] = OR_l P[i][l] & m[l][j] over the nonzero m[l][j],
@@ -178,9 +171,3 @@ def local_exponent_table(m: BoolMatrix) -> LocalExponentTable:
 def local_exponent(m: BoolMatrix, i: int, j: int) -> int:
     """Smallest k such that i -> j walks of every length >= k exist."""
     return local_exponent_table(m).get(i, j)
-
-
-def row_exponent(m: BoolMatrix, i: int) -> int:
-    """Smallest k such that row i of m**k (and of every later power) is all-positive."""
-    table = local_exponent_table(m)
-    return max(table.get(i, j) for j in range(1, m.n + 1))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from companion_exponents import (
-    BoolMatrix, CompanionSpec, companion_matrix, counting, formulas, frobenius, oracle, verify,
+    BoolMatrix, CompanionSpec, companion_matrix, core, counting, formulas, frobenius, oracle, verify,
 )
 from companion_exponents.counting import (
     MAX_CENSUS_ORDER,
@@ -113,17 +113,14 @@ class TestExp:
     @pytest.mark.parametrize("row", ("11111111", "11000000", "10011000"))
     def test_cycle_lengths_computed_once(self, capsys, monkeypatch, row):
         calls = Counter()
+        original = formulas.cycle_lengths
 
-        def counted(name):
-            original = getattr(formulas, name)
+        def counted(spec):
+            calls["cycle_lengths"] += 1
+            return original(spec)
 
-            def wrapper(spec):
-                calls[name] += 1
-                return original(spec)
-            return wrapper
-
-        for name in ("cycle_lengths", "is_primitive"):
-            monkeypatch.setattr(formulas, name, counted(name))
+        for module in (core, formulas):  # core's own callers, is_primitive among them, count too
+            monkeypatch.setattr(module, "cycle_lengths", counted)
         code, _, _ = run(capsys, "exp", "8", row)
         assert code == 0
         assert calls == Counter(cycle_lengths=1)
@@ -626,14 +623,13 @@ class TestVerify:
         # dispatch-soundness and primitivity read the batch; local-exponent-maxima
         # (orders 3..8) powers each primitive spec once, in local_exponent_table
         calls = Counter()
-        for name in ("exponent", "has_positive_power"):
-            real = getattr(oracle, name)
+        real = oracle.exponent
 
-            def counted(m, name=name, real=real):
-                calls[name, m.n] += 1
-                return real(m)
+        def counted(m):
+            calls[m.n] += 1
+            return real(m)
 
-            monkeypatch.setattr(oracle, name, counted)
+        monkeypatch.setattr(oracle, "exponent", counted)
         assert all(result.passed for result in verify.run_all(11))
         assert calls == {}
 

@@ -1,23 +1,27 @@
-"""Spec modeling, vertex partitions, runs, and cycle structure."""
+"""Spec modeling, vertex partitions, runs, cycle structure, and the package's exported names."""
 
+import ast
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import companion_exponents
 from companion_exponents import (
     BoolMatrix,
     CompanionSpec,
+    NotPrimitiveError,
     ReducibleError,
     companion_matrix,
     cycle_lengths,
     exponent,
-    has_positive_power,
     imprimitivity_index,
     is_irreducible,
     is_primitive,
     longest_run,
+    oracle_exponent,
     vertex_partition,
     wielandt_bound,
 )
@@ -29,15 +33,6 @@ class TestCompanionSpec:
         spec = CompanionSpec(8, "10011000")
         assert spec.row == (1, 0, 0, 1, 1, 0, 0, 0)
         assert spec.row_string == "10011000"
-        assert spec.bit(1) == 1 and spec.bit(4) == 1 and spec.bit(8) == 0
-
-    def test_from_text(self):
-        assert CompanionSpec.from_text("8 10011000") == CompanionSpec(8, "10011000")
-
-    @pytest.mark.parametrize("text", ["8 1001100", "8 100110001", "8 1001100x", "one 1001", "8", "8 1001 1000"])
-    def test_from_text_rejects(self, text):
-        with pytest.raises(ValueError):
-            CompanionSpec.from_text(text)
 
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
@@ -126,7 +121,7 @@ class TestBoolMatrix:
             m.entry(1, 4)
 
     def test_ones_and_identity(self):
-        assert BoolMatrix.ones(3).is_all_ones
+        assert BoolMatrix.from_lists([[1] * 3] * 3) == BoolMatrix(3, (0b111,) * 3)
         assert BoolMatrix.identity(3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -231,10 +226,35 @@ class TestPrimitivity:
         for n in range(2, 11):
             for row in irreducible_rows(n):
                 spec = CompanionSpec(n, row)
-                assert is_primitive(spec) == has_positive_power(companion_matrix(spec))
+                if is_primitive(spec):
+                    assert oracle_exponent(companion_matrix(spec)) <= wielandt_bound(n)
+                else:
+                    with pytest.raises(NotPrimitiveError):
+                        oracle_exponent(companion_matrix(spec))
 
 
 def test_wielandt_bound_values():
     assert wielandt_bound(3) == 5
     assert wielandt_bound(5) == 17
     assert wielandt_bound(8) == 50
+
+
+def imported_from_package(path: Path) -> set[str]:
+    """Names a source file imports with `from companion_exponents import ...`."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == "companion_exponents"
+            for alias in node.names}
+
+
+class TestPublicApi:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_every_exported_name_resolves_once(self):
+        names = companion_exponents.__all__
+        assert len(names) == len(set(names))
+        assert [name for name in names if not hasattr(companion_exponents, name)] == []
+
+    @pytest.mark.parametrize("user", ["perfbench/make_reference.py", "tests/test_acceptance.py"])
+    def test_exports_every_name_the_benchmark_and_criteria_import(self, user):
+        imported = imported_from_package(self.ROOT / user)
+        assert imported and imported <= set(companion_exponents.__all__)

@@ -427,7 +427,7 @@ class TestCensus:
             census(6, check_oracle=True)
 
     def test_check_oracle_powers_each_row_once(self, monkeypatch):
-        # one batch powering per order, and no oracle.exponent or has_positive_power call
+        # one batch powering per order, and no oracle.exponent call
         calls = Counter()
         real = oracle.batch_exponents
 
@@ -436,8 +436,7 @@ class TestCensus:
             return real(batch)
 
         monkeypatch.setattr(oracle, "batch_exponents", counted)
-        for name in ("exponent", "has_positive_power"):
-            monkeypatch.setattr(oracle, name, lambda m, name=name: calls.update([(name, m.n)]))
+        monkeypatch.setattr(oracle, "exponent", lambda m: calls.update([("exponent", m.n)]))
         for n in range(3, 13):
             census(n, check_oracle=True)
         assert calls == {("batch", n): 1 for n in range(3, 13)}

@@ -13,25 +13,22 @@ from companion_exponents import (
     NotPrimitiveError,
     PreconditionError,
     companion_matrix,
+    conductor,
     cycle_lengths,
     exponent,
-    gap_rule_local_exponent,
     is_primitive,
-    is_special_vertex,
     local_exponent,
     local_exponent_table,
+    local_exponents_from_last,
     longest_run,
     oracle_exponent,
-    origin_local_exponent,
     positive_trace_exponent,
-    reduce_to_support,
-    row_exponent,
     smallest_cycle_two_exponent,
     two_cycle_exponent,
     vertex_partition,
     wielandt_bound,
 )
-from companion_exponents import formulas
+from companion_exponents import core, formulas
 from companion_exponents.formulas import (
     RULE_BLOCK_V1_PREFIX,
     RULE_ORACLE,
@@ -81,6 +78,35 @@ def report_line(spec, allow_oracle=True):
         return f"{spec.n} {spec.row_string} {type(exc).__name__}\n"
     detail = sorted((report.detail or {}).items())
     return f"{spec.n} {spec.row_string} {report.value} {report.rule} {detail}\n"
+
+
+def from_vertex_1(spec):
+    """j -> exp(1 -> j) = n - 1 + e(n -> j) from the residue fold, for a zero-trace primitive spec."""
+    e = local_exponents_from_last(spec)
+    return lambda j: spec.n - 1 + e[j - 1]
+
+
+def assert_vertex_rules(row, j, exp_from_1):
+    """The paper's rule at vertex j of a zero-trace primitive row, with the helpers' set-based
+    predicates and exp_from_1(j) = exp(1 -> j): a zero vertex is its anchor's value plus the
+    offset, a special vertex has exp n, and the gap bound holds at any other support vertex
+    j >= l, with equality at its pin.  Returns which rule applied."""
+    n = len(row)
+    if row[j - 1] == "0":
+        offset = helpers.support_offset(row, j)
+        assert exp_from_1(j) == exp_from_1(j - offset) + offset
+        return "zero"
+    if helpers.special_vertex(row, j):
+        assert exp_from_1(j) == n
+        return "special"
+    if j < helpers.smallest_cycle(row):
+        return "below l"
+    bound, pinned = helpers.gap_rule(row, j)
+    assert exp_from_1(j) >= bound
+    if pinned is None:
+        return "gap"
+    assert exp_from_1(j) == pinned
+    return "pinned"
 
 
 @st.composite
@@ -160,6 +186,13 @@ def primitive_rows(draw, min_order, max_order):
     return row if helpers.row_cycle_gcd(row) == 1 else "11" + row[2:]
 
 
+@st.composite
+def zero_trace_primitive_rows(draw, min_order, max_order):
+    """`primitive_rows` with vertex n dropped from the support; an imprimitive draw gets the cycle of length n - 1."""
+    row = draw(primitive_rows(min_order, max_order))[:-1] + "0"
+    return row if helpers.row_cycle_gcd(row) == 1 else "11" + row[2:]
+
+
 class TestLocalExponentsFromLast:
     """exp(i -> j) = max(1, n - i + e(n -> j)), with e read off the conductor's residue table."""
 
@@ -227,39 +260,39 @@ class TestReportsPinned:
 
 
 class TestBitmaskVertexRules:
-    """The mask-based vertex rules against the set-based ones in helpers, at every vertex."""
+    """The paper's vertex rules, through the set-based predicates in helpers, on the residue fold
+    and on the bitmask reach-set walk from vertex n (exp(1 -> j) = n - 1 + e(n -> j))."""
 
     @settings(max_examples=200, deadline=None)
     @given(zero_trace_primitive_specs())
     def test_matches_set_based_rules(self, spec):
         row, n = spec.row_string, spec.n
-        smallest = helpers.smallest_cycle(row)
+        fold = from_vertex_1(spec)
         for j in range(1, n + 1):
-            special = helpers.special_vertex(row, j)
-            assert is_special_vertex(spec, j) == special
-            if row[j - 1] == "0":
-                assert reduce_to_support(spec, j).offset == helpers.support_offset(row, j)
-                with pytest.raises(PreconditionError):
-                    gap_rule_local_exponent(spec, j)
-            elif j < smallest or special:
-                with pytest.raises(PreconditionError):
-                    gap_rule_local_exponent(spec, j)
-            else:
-                assert gap_rule_local_exponent(spec, j) == helpers.gap_rule(row, j)
-            if row[j - 1] == "1":
-                with pytest.raises(PreconditionError):
-                    reduce_to_support(spec, j)
-        if smallest == 2:
+            assert fold(j) == n - 1 + helpers.local_exponent_from_last(row, j)
+            assert_vertex_rules(row, j, fold)
+        assert fold(1) == n + conductor(cycle_lengths(spec))
+        if helpers.smallest_cycle(row) == 2:
             assert smallest_cycle_two_exponent(spec).value == helpers.smallest_cycle_two_value(row)
 
-    def test_vertex_out_of_range(self):
-        for j in (0, WIDE_SPEC.n + 1):
-            with pytest.raises(PreconditionError):
-                is_special_vertex(WIDE_SPEC, j)
-            with pytest.raises(PreconditionError):
-                reduce_to_support(WIDE_SPEC, j)
-            with pytest.raises(PreconditionError):
-                gap_rule_local_exponent(WIDE_SPEC, j)
+    @given(zero_trace_primitive_rows(65, 600), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_set_based_rules_past_powering(self, row, data):
+        # one vertex of each kind the row has; each walk from vertex n is checked against the fold
+        spec = CompanionSpec(len(row), row)
+        n, fold = spec.n, from_vertex_1(spec)
+
+        def walk(j):
+            value = n - 1 + helpers.local_exponent_from_last(row, j)
+            assert value == fold(j)
+            return value
+
+        kinds = {}
+        for j in range(1, n + 1):
+            kinds.setdefault(assert_vertex_rules(row, j, fold), []).append(j)
+        for vertices in kinds.values():
+            event(assert_vertex_rules(row, data.draw(st.sampled_from(vertices)), walk))
+        assert walk(1) == n + conductor(cycle_lengths(spec))
 
 
 class TestExponentReport:
@@ -347,29 +380,29 @@ class TestTwoCycles:
 
 
 class TestOriginLocalExponent:
+    """exp(1 -> 1) = n + conductor(cycle lengths) for zero trace: closed walks at vertex 1 have
+    length n plus a cycle-length combination, so they fill up from n + conductor on."""
+
     def test_worked_example(self):
         spec = CompanionSpec(8, "10011000")
-        assert origin_local_exponent(spec) == 20
+        assert 8 + conductor(cycle_lengths(spec)) == from_vertex_1(spec)(1) == 20
         assert local_exponent(companion_matrix(spec), 1, 1) == 20
 
     def test_wielandt_spec(self):
-        assert origin_local_exponent(CompanionSpec(5, "11000")) == 17
+        spec = CompanionSpec(5, "11000")
+        assert 5 + conductor(cycle_lengths(spec)) == from_vertex_1(spec)(1) == 17
 
     def test_imprimitive_rejected(self):
-        with pytest.raises(PreconditionError):
-            origin_local_exponent(CompanionSpec(8, "10101010"))
-
-    def test_positive_trace_rejected(self):
-        with pytest.raises(PreconditionError):
-            origin_local_exponent(CompanionSpec(8, "10011001"))
+        with pytest.raises(NotPrimitiveError):
+            local_exponents_from_last(CompanionSpec(8, "10101010"))
 
     def test_exhaustive_small_orders(self):
         for n in range(3, 9):
             for spec in primitive_specs(n):
                 if spec.row[-1] != 0:
                     continue
-                assert origin_local_exponent(spec) == local_exponent(
-                    companion_matrix(spec), 1, 1)
+                expected = n + conductor(cycle_lengths(spec))
+                assert local_exponent(companion_matrix(spec), 1, 1) == from_vertex_1(spec)(1) == expected
 
     def test_dominates_other_support_targets(self):
         for n in range(3, 9):
@@ -383,77 +416,88 @@ class TestOriginLocalExponent:
 
 
 class TestReduceToSupport:
+    """A walk into a zero vertex j passes its anchor, the support vertex below it, `offset` steps
+    earlier, so exp(1 -> j) = exp(1 -> j - offset) + offset."""
+
     def test_offsets(self):
-        spec = CompanionSpec(8, "10011000")
-        assert reduce_to_support(spec, 7).offset == 2
-        assert reduce_to_support(spec, 3).offset == 2
+        row = "10011000"
+        assert helpers.support_offset(row, 7) == helpers.support_offset(row, 3) == 2
+        fold = from_vertex_1(CompanionSpec(8, row))
+        assert (fold(7), fold(3)) == (fold(5) + 2, fold(1) + 2) == (18, 22)
 
     def test_consistency_with_oracle(self):
         spec = CompanionSpec(8, "10011000")
         m = companion_matrix(spec)
         assert local_exponent(m, 1, 7) == local_exponent(m, 1, 5) + 2 == 18
 
-    def test_support_vertex_rejected(self):
-        with pytest.raises(PreconditionError):
-            reduce_to_support(CompanionSpec(8, "10011000"), 5)
-
     def test_reduction_identity_everywhere(self):
         for n in range(3, 9):
             for spec in primitive_specs(n):
                 if spec.row[-1] != 0:
                     continue
-                m = companion_matrix(spec)
+                m, fold = companion_matrix(spec), from_vertex_1(spec)
                 for j in sorted(vertex_partition(spec).zeros):
-                    q = reduce_to_support(spec, j)
-                    assert local_exponent(m, 1, j) == local_exponent(m, 1, j - q.offset) + q.offset
+                    anchor = j - helpers.support_offset(spec.row_string, j)
+                    assert local_exponent(m, 1, j) == fold(j) == fold(anchor) + j - anchor
+                    assert local_exponent(m, 1, anchor) == fold(anchor)
 
 
 class TestSpecialVertex:
+    """A support vertex j is special when the window [j - l + 1, j] of smallest-cycle length l
+    lies in the support; walks from vertex 1 then reach j at every length >= n."""
+
     # support {1..5} of order 8: smallest cycle length l = 4
     FRONT = CompanionSpec(8, "11111000")
 
     def test_window_boundaries(self):
-        assert is_special_vertex(self.FRONT, 4)  # j = l: the window starts at vertex 1
-        assert not is_special_vertex(self.FRONT, 3)  # j = l - 1: the window sticks out past vertex 1
-        assert is_special_vertex(self.FRONT, 5)
-        assert not is_special_vertex(self.FRONT, 6)  # vertex 6 is a zero
-        facts = formulas._facts(self.FRONT)
-        assert not any(formulas._special(facts, j) for j in (0, -1, -5))  # no window ends at or below 0
+        row = self.FRONT.row_string
+        assert helpers.special_vertex(row, 4)  # j = l: the window starts at vertex 1
+        assert not helpers.special_vertex(row, 3)  # j = l - 1: the window sticks out past vertex 1
+        assert helpers.special_vertex(row, 5)
+        assert not helpers.special_vertex(row, 6)  # vertex 6 is a zero
+        assert not any(helpers.special_vertex(row, j) for j in (0, -1, -5))  # no window ends at or below 0
+        fold = from_vertex_1(self.FRONT)
+        assert [fold(j) for j in range(1, 9)] == [12, 12, 12, 8, 8, 9, 10, 11]
 
     def test_wide_spec(self):
-        assert is_special_vertex(WIDE_SPEC, 2)
-        assert local_exponent(companion_matrix(WIDE_SPEC), 1, 2) == 16
-        assert not is_special_vertex(WIDE_SPEC, 15)
+        row = WIDE_SPEC.row_string
+        assert helpers.special_vertex(row, 2)
+        assert local_exponent(companion_matrix(WIDE_SPEC), 1, 2) == from_vertex_1(WIDE_SPEC)(2) == 16
+        assert not helpers.special_vertex(row, 15)
 
     def test_window_leaving_range(self):
         # smallest cycle length 4: the window for j=1 sticks out past vertex 1
-        spec = CompanionSpec(8, "10011000")
-        assert not is_special_vertex(spec, 1)
+        assert not helpers.special_vertex("10011000", 1)
 
     def test_special_forces_local_exponent_n(self):
         for n in range(4, 9):
             for spec in primitive_specs(n):
                 if spec.row[-1] != 0:
                     continue
-                m = companion_matrix(spec)
+                m, fold = companion_matrix(spec), from_vertex_1(spec)
                 for j in sorted(vertex_partition(spec).support):
-                    if is_special_vertex(spec, j):
-                        assert local_exponent(m, 1, j) == n
+                    if helpers.special_vertex(spec.row_string, j):
+                        assert local_exponent(m, 1, j) == fold(j) == n
 
 
 class TestGapRule:
+    """At a non-special support vertex j >= l, with gap the largest backstep p < l from j onto a
+    zero vertex, exp(1 -> j) >= n + gap; when the vertex under the gap (backstep gap + 1) is
+    special the value is pinned to n + gap + 1.
+
+    A walk of length n + gap would have to make its final jump at a support vertex j - p with
+    the leftover gap - p a positive cycle combination below l, which cannot exist, while the
+    special vertex under the gap delivers every length from n + gap + 1 up.
+    """
+
     def test_exact_case(self):
-        bound, exact = gap_rule_local_exponent(WIDE_SPEC, 4)
-        assert bound == 17
-        assert exact == 18
-        assert local_exponent(companion_matrix(WIDE_SPEC), 1, 4) == 18
+        assert helpers.gap_rule(WIDE_SPEC.row_string, 4) == (17, 18)
+        assert local_exponent(companion_matrix(WIDE_SPEC), 1, 4) == from_vertex_1(WIDE_SPEC)(4) == 18
 
     def test_open_case(self):
         spec = CompanionSpec(8, "10011000")
-        bound, exact = gap_rule_local_exponent(spec, 5)
-        assert bound == 11
-        assert exact is None
-        assert local_exponent(companion_matrix(spec), 1, 5) == 16
+        assert helpers.gap_rule(spec.row_string, 5) == (11, None)
+        assert local_exponent(companion_matrix(spec), 1, 5) == from_vertex_1(spec)(5) == 16
 
     def test_shift_of_unrepresentable_values(self):
         # a local exponent that is not a cycle combination shifts up along
@@ -463,10 +507,6 @@ class TestGapRule:
         assert local_exponent(m, 1, 4) == 15
         assert local_exponent(m, 1, 5) == 16
 
-    def test_special_vertex_rejected(self):
-        with pytest.raises(PreconditionError):
-            gap_rule_local_exponent(WIDE_SPEC, 2)
-
     @pytest.mark.parametrize("row, j, expected", [
         ("10111000", 4, (10, None)),  # j = l; the vertex under the gap is 1, whose window sticks out
         ("10111000", 5, (11, None)),  # the lowest vertex under a gap: 1, since vertex 1 is never a zero
@@ -474,32 +514,21 @@ class TestGapRule:
     ])
     def test_window_boundaries(self, row, j, expected):
         spec = CompanionSpec(len(row), row)
-        assert gap_rule_local_exponent(spec, j) == expected == helpers.gap_rule(row, j)
+        assert helpers.gap_rule(row, j) == expected
         bound, exact = expected
         truth = local_exponent(companion_matrix(spec), 1, j)
+        assert truth == from_vertex_1(spec)(j)
         assert truth == exact if exact else truth >= bound
-
-    def test_below_smallest_cycle_rejected(self):
-        with pytest.raises(PreconditionError):
-            gap_rule_local_exponent(CompanionSpec(8, "10011000"), 1)
-        with pytest.raises(PreconditionError, match="smallest cycle length 4"):
-            gap_rule_local_exponent(CompanionSpec(8, "10111000"), 3)  # j = l - 1, a support vertex
 
     def test_sound_everywhere(self):
         for n in range(4, 9):
             for spec in primitive_specs(n):
                 if spec.row[-1] != 0:
                     continue
-                lengths = cycle_lengths(spec)
-                m = companion_matrix(spec)
+                row, m, fold = spec.row_string, companion_matrix(spec), from_vertex_1(spec)
                 for j in sorted(vertex_partition(spec).support):
-                    if j < lengths[0] or is_special_vertex(spec, j):
-                        continue
-                    bound, exact = gap_rule_local_exponent(spec, j)
-                    truth = local_exponent(m, 1, j)
-                    assert truth >= bound
-                    if exact is not None:
-                        assert truth == exact
+                    assert local_exponent(m, 1, j) == fold(j)
+                    assert_vertex_rules(row, j, fold)
 
 
 class TestBlockPrefix:
@@ -578,6 +607,28 @@ class TestSmallestCycleTwo:
         assert report.detail == {"smallest_odd_cycle": n}
 
 
+class TestDirectRuleCalls:
+    """A rule called on a spec, not through `exponent`, checks primitivity itself."""
+
+    @pytest.mark.parametrize("rule", formulas._RULE_ORDER)
+    @pytest.mark.parametrize("row", ["10101010", "01111111"])  # imprimitive, reducible
+    def test_not_primitive_is_a_failed_precondition(self, rule, row):
+        with pytest.raises(PreconditionError, match="spec is not primitive"):
+            rule(CompanionSpec(8, row))
+
+    @pytest.mark.parametrize("rule", formulas._RULE_ORDER)
+    def test_cycle_lengths_computed_once(self, monkeypatch, rule):
+        calls = []
+        original = formulas.cycle_lengths
+        for module in (core, formulas):  # core's own callers, is_primitive among them, count too
+            monkeypatch.setattr(module, "cycle_lengths", lambda spec: calls.append(spec) or original(spec))
+        try:
+            rule(WIDE_SPEC)
+        except PreconditionError:
+            pass
+        assert calls == [WIDE_SPEC]
+
+
 class TestDispatch:
     def test_reported_rules(self):
         assert exponent(CompanionSpec(8, "11111111")).rule == RULE_POSITIVE_TRACE
@@ -629,4 +680,4 @@ class TestDispatch:
                 if spec.row[-1] != 0:
                     continue
                 m = companion_matrix(spec)
-                assert oracle_exponent(m) == row_exponent(m, 1)
+                assert oracle_exponent(m) == max(local_exponent_table(m).values[0])

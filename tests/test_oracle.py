@@ -13,16 +13,14 @@ from companion_exponents import (
     NotPrimitiveError,
     bool_product,
     companion_matrix,
-    has_positive_power,
     is_primitive,
     local_exponent,
     local_exponent_table,
+    local_exponents_from_last,
     oracle,
     oracle_exponent,
-    row_exponent,
     wielandt_bound,
 )
-from companion_exponents.formulas import local_exponents_from_last
 from helpers import (
     bit_slice,
     irreducible_rows,
@@ -111,7 +109,7 @@ class TestBoolProduct:
         assert bool_product(m, eye) == m
 
     def test_all_ones_idempotent(self):
-        j = BoolMatrix.ones(4)
+        j = BoolMatrix(4, (0b1111,) * 4)
         assert bool_product(j, j) == j
 
     def test_companion_square_order_three(self):
@@ -132,7 +130,7 @@ class TestBoolProduct:
 
 class TestExponent:
     def test_all_ones(self):
-        assert oracle_exponent(BoolMatrix.ones(4)) == 1
+        assert oracle_exponent(BoolMatrix(4, (0b1111,) * 4)) == 1
 
     def test_wielandt_sharp_example(self):
         assert oracle_exponent(companion_matrix(CompanionSpec(5, "11000"))) == 17
@@ -159,7 +157,6 @@ class TestGeneralMatrices:
     @settings(deadline=None)
     def test_exponent_matches_naive_powers(self, m):
         positive = [k for k, p in enumerate(naive_powers(m), 1) if all(map(all, p))]
-        assert has_positive_power(m) == bool(positive)
         if positive:
             assert oracle_exponent(m) == positive[0]
         else:
@@ -178,7 +175,13 @@ class TestGeneralMatrices:
     @example(BoolMatrix(2, (0b10, 0b11)))
     @settings(deadline=None)
     def test_positive_power_by_squaring_matches_power_at_bound(self, m):
-        assert has_positive_power(m) == product_chain(m)[-1].is_all_ones
+        at_bound = set(product_chain(m)[-1].rows) == {(1 << m.n) - 1}
+        try:
+            oracle_exponent(m)
+        except NotPrimitiveError:
+            assert not at_bound
+        else:
+            assert at_bound
 
     @given(general_matrices(6))
     @settings(max_examples=60, deadline=None)
@@ -189,14 +192,11 @@ class TestGeneralMatrices:
         if not all(walk_exists(entries, i, j, bound) for i in range(1, n + 1) for j in range(1, n + 1)):
             with pytest.raises(NotPrimitiveError):
                 local_exponent_table(m)
-            with pytest.raises(NotPrimitiveError):
-                row_exponent(m, 1)
             return
         table = local_exponent_table(m)
         for i in range(1, n + 1):
             expected = [stabilization_point(entries, i, j, bound) for j in range(1, n + 1)]
             assert list(table.values[i - 1]) == expected
-            assert row_exponent(m, i) == max(expected)
 
 
 batches = st.integers(1, 8).flatmap(lambda n: st.lists(general_matrices(n, n), min_size=1, max_size=12))
@@ -270,13 +270,17 @@ class TestLocalExponent:
 
 
 class TestRowExponent:
+    """Row i of m**k, and of every later power, is all-positive from the row's largest local exponent on."""
+
     def test_all_ones_row(self):
         m = companion_matrix(CompanionSpec(5, "11111"))
-        assert row_exponent(m, 5) == 1
+        assert max(local_exponent_table(m).values[4]) == 1
 
     def test_top_row_equals_exponent_for_zero_trace(self):
-        m = companion_matrix(CompanionSpec(16, "1101100100010010"))
-        assert row_exponent(m, 1) == oracle_exponent(m) == 22
+        spec = CompanionSpec(16, "1101100100010010")
+        m = companion_matrix(spec)
+        assert max(local_exponent_table(m).values[0]) == oracle_exponent(m) == 22
+        assert 15 + max(local_exponents_from_last(spec)) == 22
 
 
 class TestExponentMaxima:
@@ -292,7 +296,6 @@ class TestExponentMaxima:
                 assert overall == max(
                     table.get(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
                 )
-                assert overall == max(row_exponent(m, i) for i in range(1, n + 1))
                 assert all(
                     1 <= table.get(i, j) <= wielandt_bound(n)
                     for i in range(1, n + 1)
@@ -324,7 +327,7 @@ class TestOrderingProperties:
                 if not is_primitive(spec):
                     continue
                 m = companion_matrix(spec)
-                rows = [row_exponent(m, i) for i in range(1, n + 1)]
+                rows = [max(values) for values in local_exponent_table(m).values]
                 assert all(rows[i] > rows[i + 1] for i in range(n - 1))
 
 
@@ -412,19 +415,17 @@ class TestOrderCaps:
     def test_powering_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
         m = self.wielandt(8)
-        assert has_positive_power(m)
         assert oracle_exponent(m) == local_exponent_table(m).get(1, 1) == wielandt_bound(8)
-        for call in (oracle_exponent, local_exponent_table, has_positive_power):
+        for call in (oracle_exponent, local_exponent_table):
             with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
                 call(self.wielandt(9))
 
     def test_row_walk_cap(self, monkeypatch):
-        # the row questions once walked one row under their own cap; they now read the powers
+        # local_exponent reads the whole power sequence, so the powering cap is its only cap
         monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
-        assert row_exponent(self.wielandt(8), 1) == local_exponent(self.wielandt(8), 1, 1) == wielandt_bound(8)
-        for call in (lambda m: row_exponent(m, 1), lambda m: local_exponent(m, 1, 1)):
-            with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
-                call(self.wielandt(9))
+        assert local_exponent(self.wielandt(8), 1, 1) == wielandt_bound(8)
+        with pytest.raises(ValueError, match="MAX_POWERING_ORDER"):
+            local_exponent(self.wielandt(9), 1, 1)
 
     def test_caps_stay_above_the_benchmarked_orders(self):
         assert oracle.MAX_POWERING_ORDER > 64
