@@ -29,11 +29,14 @@ def wielandt_bound(n: int) -> int:
     return (n - 1) ** 2 + 1
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _parse_bits(row: Sequence[int] | str) -> tuple[int, ...]:
     if isinstance(row, str):
         if not row or row.strip("01"):
             raise ValueError(f"row must be a nonempty string over 0/1, got {row!r}")
-        return tuple(map(int, row))
+        return tuple(row.encode().translate(_BIT_BYTES))  # ASCII once strip passed; bytes iterate as ints
     bits = tuple(row)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"row bits must be 0 or 1, got {bits!r}")
@@ -137,8 +140,7 @@ class BoolMatrix:
     def __post_init__(self) -> None:
         if self.n < 1 or len(self.rows) != self.n:
             raise ValueError(f"need exactly n={self.n} row bitmasks, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        if any(r < 0 or r > full for r in self.rows):
+        if min(self.rows) < 0 or max(self.rows) >> self.n:
             raise ValueError("row bitmask out of range for the given order")
 
     @classmethod
@@ -168,5 +170,5 @@ class BoolMatrix:
 def companion_matrix(spec: CompanionSpec) -> BoolMatrix:
     """Build the (0,1) companion matrix: superdiagonal ones, last row = spec row."""
     rows = [1 << i for i in range(1, spec.n)]
-    rows.append(sum(b << j for j, b in enumerate(spec.row)))
+    rows.append(int(spec.row_string[::-1], 2))  # bit j - 1 is column j
     return BoolMatrix(spec.n, tuple(rows))

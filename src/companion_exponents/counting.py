@@ -22,7 +22,7 @@ from .core import CompanionSpec, wielandt_bound
 from .frobenius import conductor
 
 MAX_CENSUS_ORDER = 20
-MAX_CHECKED_CENSUS_ORDER = 15  # census with check_oracle: under 1 s, mostly making each row's spec and trying rules
+MAX_CHECKED_CENSUS_ORDER = 16  # census with check_oracle: under 1 s (0.66-0.73 s; 1.1-1.4 s at 17), mostly rules
 MAX_STRING_TABLE_LENGTH = 76  # longest length for f_strings: the table takes about 1 s
 MAX_RUN_AVOIDING_LENGTH = 14_000  # longest length for t_runs: 2**n has at most 4300 digits
 MAX_IMPRIMITIVE_ORDER = 28_000  # the count stays below 2**(n/2), which prints in at most 4300 digits
@@ -346,10 +346,10 @@ def _check_exponents(specs: tuple[CompanionSpec, ...], masks: dict[int, int], po
             true_exp = value if agree else next((e for e, m in powered.items() if m >> y & 1), None)
             try:
                 report = formulas.exponent(spec, allow_oracle=False)
-                rule_value, ruled = report.value, f"dispatch rule {report.rule} gave {report.value}"
             except formulas.PreconditionError:
-                rule_value, ruled = value, "no closed-form rule applies"
-            if not value == rule_value == true_exp:
+                report = None
+            if not value == (report.value if report else value) == true_exp:
+                ruled = f"dispatch rule {report.rule} gave {report.value}" if report else "no closed-form rule applies"
                 raise DispatchMismatchError(
                     f"walk gave {value}, {ruled}, oracle gave {true_exp} for spec {spec.n} {spec.row_string}")
             y = bits.find("1", y + 1)

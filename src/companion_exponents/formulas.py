@@ -11,18 +11,20 @@ Throughout, `zeros`/`support` split the vertices 1..n by the last row
 `local_exponents_from_last`, which reads every e(n -> j) off the
 conductor's residue table.
 
-Every rule reads one private facts object, built once per spec in time
-linear in the row: the sorted cycle lengths, the longest zero run and the
+Every rule reads one private facts object, built once per spec from the
+sorted cycle lengths: those lengths, the longest zero run and the
 `support` mask with vertex i at bit i - 1.  No rule on `exponent`'s path
-needs more than one pass over the support.
+needs more than one pass over the support, and `exponent` calls each
+rule's body, which returns its unmet precondition instead of raising it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
-from typing import Mapping
+from functools import wraps
+from operator import add, sub
+from typing import Callable, Mapping, NamedTuple
 
 from . import oracle
 from .core import (
@@ -41,6 +43,7 @@ RULE_BLOCK_V1_PREFIX = "BLOCK_V1_PREFIX"
 RULE_ORACLE = "ORACLE"
 
 RULES = frozenset({RULE_POSITIVE_TRACE, RULE_TWO_CYCLES, RULE_SMALLEST_CYCLE_2, RULE_BLOCK_V1_PREFIX, RULE_ORACLE})
+_ZERO_TRACE = "rule needs zero trace (last row bit n must be 0)"
 
 
 class PreconditionError(ValueError):
@@ -71,8 +74,7 @@ def require_primitive(spec: CompanionSpec) -> tuple[int, ...]:
     return lengths
 
 
-@dataclass(frozen=True)
-class _SpecFacts:
+class _SpecFacts(NamedTuple):
     """What the rules read off one primitive spec (see the module docstring)."""
 
     n: int
@@ -82,43 +84,50 @@ class _SpecFacts:
 
     @classmethod
     def of(cls, spec: CompanionSpec, lengths: tuple[int, ...]) -> _SpecFacts:
-        bits = spec.row_string
-        return cls(spec.n, int(bits[::-1], 2), lengths, max(map(len, bits.split("1"))))
+        """From the ascending lengths: l is support vertex n + 1 - l, so the zero runs are the gaps
+        between neighbouring lengths less one, the last one the smallest length less one."""
+        n = spec.n
+        return cls(n, sum(map((1 << n).__rshift__, lengths)), lengths,
+                   max(map(sub, lengths, (0,) + lengths)) - 1)
 
 
-def _facts(spec: CompanionSpec | _SpecFacts, zero_trace: bool = False) -> _SpecFacts:
-    """Facts of `spec`; PreconditionError unless primitive (and, with zero_trace, loop-free at n)."""
-    if not isinstance(spec, _SpecFacts):
+def _rule(body: Callable[[_SpecFacts], ExponentReport | str]) -> Callable[[CompanionSpec], ExponentReport]:
+    """The rule on a spec from its body on the facts, which returns the report or the unmet precondition:
+    PreconditionError for that, or for a spec that is not primitive.  `exponent` calls the bodies."""
+    @wraps(body)
+    def rule(spec: CompanionSpec) -> ExponentReport:
         try:
-            spec = _SpecFacts.of(spec, require_primitive(spec))
+            lengths = require_primitive(spec)
         except NotPrimitiveError:
             raise PreconditionError("spec is not primitive") from None
-    if zero_trace and spec.support >> (spec.n - 1):
-        raise PreconditionError("rule needs zero trace (last row bit n must be 0)")
-    return spec
+        report = body(_SpecFacts.of(spec, lengths))
+        if isinstance(report, str):
+            raise PreconditionError(report)
+        return report
+    return rule
 
 
-def positive_trace_exponent(spec: CompanionSpec) -> ExponentReport:
+@_rule
+def positive_trace_exponent(f: _SpecFacts) -> ExponentReport | str:
     """Exponent n + (longest zero run) for a primitive spec with a loop at vertex n.
 
     The loop lets walks idle at n, so only the forced march through the
     longest block of zero vertices delays full positivity.
     """
-    f = _facts(spec)
     if not f.support >> (f.n - 1):
-        raise PreconditionError("positive-trace rule needs a loop at vertex n (last bit 1)")
+        return "positive-trace rule needs a loop at vertex n (last bit 1)"
     run = f.longest_zero_run
     return ExponentReport(f.n + run, RULE_POSITIVE_TRACE, {"longest_zero_run": run})
 
 
-def two_cycle_exponent(spec: CompanionSpec) -> ExponentReport:
+@_rule
+def two_cycle_exponent(f: _SpecFacts) -> ExponentReport | str:
     """Exponent n + s(n-2) when the digraph has exactly two cycle lengths, n and s >= 2."""
-    f = _facts(spec)
     if f.n < 3 or len(f.lengths) != 2:
-        raise PreconditionError("two-cycle rule needs n >= 3 and exactly two cycle lengths")
+        return "two-cycle rule needs n >= 3 and exactly two cycle lengths"
     s = f.lengths[0]
     if s < 2:
-        raise PreconditionError("short cycle of length 1 is the positive-trace case")
+        return "short cycle of length 1 is the positive-trace case"
     return ExponentReport(f.n + s * (f.n - 2), RULE_TWO_CYCLES, {"short_cycle": s})
 
 
@@ -149,7 +158,8 @@ def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
+@_rule
+def block_prefix_exponent(f: _SpecFacts) -> ExponentReport | str:
     """Exponent n + conductor + (longest zero run) when the zero run at
     vertex 2 is a longest one.
 
@@ -157,10 +167,11 @@ def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
     exponent n + conductor dominates every support vertex, so adding the
     full run length is exact.
     """
-    f = _facts(spec, zero_trace=True)
+    if f.support >> (f.n - 1):
+        return _ZERO_TRACE
     run = f.longest_zero_run
     if f.support >> 1 & ((1 << run) - 1):  # some vertex in 2 .. run + 1 is in the support
-        raise PreconditionError("the zero run starting at vertex 2 must be a longest one")
+        return "the zero run starting at vertex 2 must be a longest one"
     c = conductor(f.lengths)
     return ExponentReport(
         f.n + c + run,
@@ -169,7 +180,8 @@ def block_prefix_exponent(spec: CompanionSpec) -> ExponentReport:
     )
 
 
-def smallest_cycle_two_exponent(spec: CompanionSpec) -> ExponentReport:
+@_rule
+def smallest_cycle_two_exponent(f: _SpecFacts) -> ExponentReport | str:
     """Exponent for primitive zero-trace specs whose smallest cycle length is 2.
 
     With a 2-cycle present, exp(1 -> j) at a support vertex j is
@@ -179,12 +191,13 @@ def smallest_cycle_two_exponent(spec: CompanionSpec) -> ExponentReport:
     Zero vertices reduce to the support vertex below; the exponent is the
     maximum over all vertices, in one ascending pass.
     """
-    f = _facts(spec, zero_trace=True)
     n = f.n
+    if f.support >> (n - 1):
+        return _ZERO_TRACE
     if n < 4:
-        raise PreconditionError("rule needs n >= 4")
+        return "rule needs n >= 4"
     if f.lengths[0] != 2:
-        raise PreconditionError("rule needs smallest cycle length 2")
+        return "rule needs smallest cycle length 2"
     # An odd length exists: all-even cycle lengths would force gcd >= 2.
     s = min(l for l in f.lengths if l % 2)
     # support vertex i closes the cycle of length n + 1 - i; n + 1 ends the last zero run
@@ -215,10 +228,9 @@ def exponent(spec: CompanionSpec, allow_oracle: bool = True) -> ExponentReport:
     """
     facts = _SpecFacts.of(spec, require_primitive(spec))
     for rule in _RULE_ORDER:
-        try:
-            return rule(facts)
-        except PreconditionError:
-            continue
+        report = rule.__wrapped__(facts)
+        if not isinstance(report, str):
+            return report
     if not allow_oracle:
         raise PreconditionError("no closed-form rule applies")
     oracle.check_powering_order(spec.n)

@@ -25,8 +25,10 @@ has column k set.  Every row of Y is below 2**n, so the multiply copies
 row k of Y into those slots and nowhere else, with no carry from one slot
 into the next.  Questions about every row of an order (the census check,
 `verify`) bit-slice the batch instead, for `batch_exponents`: entry (i, j)
-is one int with bit r for matrix r, so one AND per nonzero entry steps
-every matrix at once.
+is one int with bit r for matrix r, and a step takes row i of m times the
+previous power: one AND per nonzero entry of m and column, for every
+matrix at once.  A row of m whose one nonzero entry is all-ones copies a
+row of the previous power; in a companion batch that is n - 1 of the n rows.
 """
 
 from __future__ import annotations
@@ -97,29 +99,32 @@ def bool_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
 
 def batch_exponents(m: Sequence[Sequence[int]]) -> dict[int, int]:
     """Exponent -> mask of the matrices attaining it, for a batch m bit-sliced so that entry (i, j)
-    holds bit r for matrix r: each step is P[i][j] = OR_l P[i][l] & m[l][j] over the nonzero m[l][j],
+    holds bit r for matrix r: each step is P'[i][j] = OR_l m[i][l] & P[l][j] over the nonzero m[i][l],
     up to the Wielandt bound or until every matrix with a nonzero entry is all-positive; a matrix
-    that is not primitive is in no mask."""
+    that is not primitive is in no mask.  `ands` holds each row's AND, so a copied row costs none."""
     n = len(m)
     check_powering_order(n)
     everything = reduce(or_, chain(*m), 0)
-    columns = [[(l, e) for l, e in enumerate(column) if e] for column in zip(*m)]
-    power, done, masks = m, 0, {}
+    rows = [[(l, e) for l, e in enumerate(row) if e] for row in m]
+    copies = [terms[0][0] if len(terms) == 1 and terms[0][1] == everything else None for terms in rows]
+    power, ands, done, masks = m, [reduce(and_, row, everything) for row in m], 0, {}
     for length in range(1, wielandt_bound(n) + 1):
-        full = reduce(and_, chain(*power), everything)
+        full = reduce(and_, ands, everything)
         if full != done:  # an all-positive power stays all-positive, so full holds done
             masks[length], done = full & ~done, full
         if done == everything:
             break
-        previous, power = power, []
-        for p in previous:
-            row = []
-            for column in columns:
-                c = 0
-                for l, e in column:
-                    c |= p[l] & e
-                row.append(c)
+        previous, previous_ands, power, ands = power, ands, [], []
+        for terms, copied in zip(rows, copies):
+            if copied is not None:
+                power.append(previous[copied])
+                ands.append(previous_ands[copied])
+                continue
+            row = [0] * n
+            for l, e in terms:
+                row = [c | p & e for c, p in zip(row, previous[l])]
             power.append(row)
+            ands.append(reduce(and_, row, everything))
     return masks
 
 
@@ -162,9 +167,9 @@ def local_exponent_table(m: BoolMatrix) -> LocalExponentTable:
         missing = pending & ~powers[length - 1]
         pending ^= missing
         while missing:
-            low = missing & -missing
-            values[low.bit_length() - 1] = length + 1
-            missing ^= low
+            top = missing.bit_length() - 1
+            values[top] = length + 1
+            missing ^= 1 << top
     return LocalExponentTable(n, tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n)))
 
 

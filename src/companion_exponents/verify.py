@@ -11,11 +11,14 @@ Dispatch-soundness is the census's own three-way check of every primitive
 row's walk exponent against that batch and against the closed-form rule,
 where one applies.  Counting and membership read the walk masks, which
 dispatch-soundness has checked, so the count formulas are compared with an
-enumeration that does not assume the rule they were derived from.
+enumeration that does not assume the rule they were derived from; the
+run-avoidance counts are held against all 2**n strings bit-sliced (Biham,
+FSE 1997), and the block-prefix bound against the zero runs of each row.
 Conductors certifies seven conductors by powering: closed walks at vertex n have the lengths
 of the cycle-length semigroup, so on the row with those cycles exp(n -> n) = max(1, conductor).
-Cycle-structure's walk counter stops each spec at its first repeated power:
-the frontier sets matched it at both steps, so every later step of both
+Cycle-structure's walk counter holds each vertex's frontier as a bitmask,
+stepped along the edges, and stops each spec at its first repeated power:
+the frontiers matched it at both steps, so every later step of both
 walks repeats one already compared.  Families honor the requested maximum
 order but keep their own caps where the work grows too fast to be useful at
 the command line.
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from . import counting, formulas, frobenius, oracle
 from .core import (
@@ -33,8 +38,6 @@ from .core import (
     companion_matrix,
     cycle_lengths,
     is_primitive,
-    longest_run,
-    vertex_partition,
     wielandt_bound,
 )
 
@@ -56,25 +59,25 @@ def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
     for n, specs in irreducible.items():
         for spec in specs:
             lengths = cycle_lengths(spec)
-            part = vertex_partition(spec)
-            if len(lengths) != len(part.support) or max(lengths) != n:
+            if len(lengths) != spec.row.count(1) or max(lengths) != n:
                 return CheckResult("cycle-structure", False, f"bad lengths for {spec.n} {spec.row_string}")
-    # walk counter: row i of the k-th power == the ends of i -> * walks of length k
+    # walk counter: row i of the k-th power == the ends of i -> * walks of length k, held as a
+    # bitmask (bit j - 1 for vertex j): the union, over the first steps i -> w, of w's frontier
     for n in range(3, min(n_max, 6) + 1):
         for spec in irreducible[n]:
             m = companion_matrix(spec)
-            adj = [set()] + [{j for j in range(1, n + 1) if m.entry(i, j)} for i in range(1, n + 1)]
+            steps = [[w for w in range(n) if edges >> w & 1] for edges in m.rows]
             power, seen = BoolMatrix.identity(n), set()
-            frontiers = [{i} for i in range(1, n + 1)]
+            frontiers = power.rows
             for k in range(1, wielandt_bound(n) + 1):
                 power = oracle.bool_product(power, m)
-                frontiers = [set().union(*(adj[v] for v in frontier)) for frontier in frontiers]
-                for i, (row, frontier) in enumerate(zip(power.rows, frontiers), 1):
-                    diff = row ^ sum(1 << (j - 1) for j in frontier)
-                    if diff:
-                        j = (diff & -diff).bit_length()
-                        return CheckResult(
-                            "cycle-structure", False, f"walk mismatch at {spec.n} {spec.row_string} ({i},{j},{k})")
+                frontiers = tuple(reduce(or_, map(frontiers.__getitem__, first), 0) for first in steps)
+                if frontiers != power.rows:
+                    i = next(i for i in range(n) if frontiers[i] != power.rows[i])
+                    diff = frontiers[i] ^ power.rows[i]
+                    return CheckResult(
+                        "cycle-structure", False,
+                        f"walk mismatch at {spec.n} {spec.row_string} ({i + 1},{(diff & -diff).bit_length()},{k})")
                 if power.rows in seen:  # frontiers repeat with it, so every later step repeats a checked one
                     break
                 seen.add(power.rows)
@@ -183,12 +186,15 @@ def _check_counting(irreducible: _Specs, primitive: _Specs, walks: _Masks) -> Ch
         table = counting.string_count_table(n)
         if sum(table.count(x, k) for x in range(n + 1) for k in range(n + 1)) != 1 << n:
             return CheckResult("counting", False, f"string counts do not sum to 2^{n}")
+    # all strings v at once, bit v of position[p] for bit p of v: runs of r ones are r-fold ANDs
+    length = min(n_max, 10)
+    everything = (1 << (1 << length)) - 1
+    position = [everything // ((1 << (2 << p)) - 1) * (((1 << (1 << p)) - 1) << (1 << p)) for p in range(length)]
     for r in range(2, 6):
-        for n in range(0, min(n_max, 10) + 1):
-            brute = sum(
-                1 for v in range(1 << n)
-                if "1" * r not in format(v, f"0{n}b")
-            ) if n else 1
+        runs = 0
+        for n in range(0, length + 1):
+            runs |= reduce(and_, position[n - r:n]) if n >= r else 0
+            brute = (1 << n) - (runs & ((1 << (1 << n)) - 1)).bit_count()
             if counting.t_runs(r, n) != brute:
                 return CheckResult("counting", False, f"run-avoidance count off at r={r}, n={n}")
     for n in range(3, min(n_max, 10) + 1):
@@ -223,9 +229,8 @@ def _check_membership(records: _Records, primitive: _Specs, walks: _Masks) -> Ch
         for spec in primitive[n]:
             if spec.row[-1] != 0:
                 continue
-            part = vertex_partition(spec)
-            run = longest_run(part.zeros)
-            if all(v in part.zeros for v in range(2, run + 2)):
+            zero_runs = bytes(spec.row).split(b"\1")  # zero_runs[1] starts at vertex 2
+            if len(zero_runs[1]) == max(map(len, zero_runs)):
                 enumerated += 1
         if counting.block_prefix_upper_count(n) < enumerated:
             return CheckResult("membership", False, f"block-prefix bound below enumeration at order {n}")

@@ -4,10 +4,10 @@ Nothing here reuses library internals: products are triple loops over
 nested lists, cycle enumeration goes through networkx, walk checks step
 frontier sets, companion exponents come from a per-row reach-set walk,
 the census walk builds its support masks by division, batches are
-bit-sliced one matrix entry at a time, representability
-does a bounded coefficient search or a sieve, and string statistics are
-measured on explicitly enumerated strings or by a bit-by-bit scan of
-every string at once.
+bit-sliced one matrix entry at a time and powered column by column,
+representability does a bounded coefficient search or a sieve, and
+string statistics are measured on explicitly enumerated strings or by a
+bit-by-bit scan of every string at once.
 """
 
 from __future__ import annotations
@@ -127,6 +127,39 @@ def bit_slice(matrices) -> list[list[int]]:
     n = matrices[0].n
     return [[sum(1 << r for r, m in enumerate(matrices) if m.entry(i, j)) for j in range(1, n + 1)]
             for i in range(1, n + 1)]
+
+
+def column_batch_exponents(m: list[list[int]]) -> dict[int, int]:
+    """Exponent -> mask of the matrices attaining it, for a bit-sliced batch (entry (i, j) holds
+    bit r for matrix r), each step the previous power times m column by column:
+    P[i][j] = OR_l P[i][l] & m[l][j] over the nonzero m[l][j], up to the Wielandt bound or until
+    every matrix with a nonzero entry is all-positive; a matrix that is not primitive is in no mask."""
+    n = len(m)
+    everything = 0
+    for row in m:
+        for e in row:
+            everything |= e
+    columns = [[(l, e) for l, e in enumerate(column) if e] for column in zip(*m)]
+    power, done, masks = m, 0, {}
+    for length in range(1, (n - 1) ** 2 + 2):
+        full = everything
+        for row in power:
+            for e in row:
+                full &= e
+        if full != done:
+            masks[length], done = full & ~done, full
+        if done == everything:
+            break
+        previous, power = power, []
+        for p in previous:
+            row = []
+            for column in columns:
+                c = 0
+                for l, e in column:
+                    c |= p[l] & e
+                row.append(c)
+            power.append(row)
+    return masks
 
 
 def with_row_exponent(masks: dict[int, int], y: int, value: int | None) -> dict[int, int]:

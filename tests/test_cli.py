@@ -32,6 +32,7 @@ from helpers import (
     first_repeated_power,
     irreducible_rows,
     local_exponent_from_last,
+    longest_zero_run,
     row_cycle_gcd,
     with_row_exponent,
 )
@@ -601,6 +602,35 @@ class TestVerify:
             "FAIL dispatch-soundness: walk gave 18, dispatch rule SMALLEST_CYCLE_2 gave 12, "
             "oracle gave 12 for spec 7 1000110",
             "FAIL membership: smallest-cycle-2 exponent 19 outside [7, 17] at 1000010"]
+
+    def test_cycle_lengths_failure_exit_four(self, capsys, monkeypatch):
+        # the smallest length dropped: the largest is still n, but there is one length fewer than support vertices
+        real = verify.cycle_lengths
+        monkeypatch.setattr(verify, "cycle_lengths",
+                            lambda spec: real(spec)[1:] if spec.row_string == "110010" else real(spec))
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 4
+        assert self.failed_families(out) == ["FAIL cycle-structure: bad lengths for 6 110010"]
+
+    @pytest.mark.parametrize("r, n", [(2, 0), (3, 7), (5, 10)])
+    def test_run_avoidance_failure_exit_four(self, capsys, monkeypatch, r, n):
+        real = counting.t_runs
+        monkeypatch.setattr(counting, "t_runs", lambda *args: real(*args) + (args == (r, n)))
+        code, out, _ = run(capsys, "verify", "--n-max", str(max(n, 3)))
+        assert code == 4
+        assert self.failed_families(out) == [f"FAIL counting: run-avoidance count off at r={r}, n={n}"]
+
+    def test_block_prefix_failure_exit_four(self, capsys, monkeypatch):
+        # the order-8 primitive rows with zero trace whose zero run at vertex 2 is a longest one:
+        # the bound passes at that count and fails one below it
+        enumerated = sum(1 for row in irreducible_rows(8) if row_cycle_gcd(row) == 1 and row[-1] == "0"
+                         and row[1:].startswith("0" * longest_zero_run(row)))
+        real = counting.block_prefix_upper_count
+        for bound, failed in ((enumerated, []), (enumerated - 1, [
+                "FAIL membership: block-prefix bound below enumeration at order 8"])):
+            monkeypatch.setattr(counting, "block_prefix_upper_count", lambda n: bound if n == 8 else real(n))
+            code, out, _ = run(capsys, "verify", "--n-max", "8")
+            assert (code, self.failed_families(out)) == (4 if failed else 0, failed)
 
     def test_one_walk_and_one_batch_per_order(self, monkeypatch):
         calls = Counter()

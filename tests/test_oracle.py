@@ -13,6 +13,7 @@ from companion_exponents import (
     NotPrimitiveError,
     bool_product,
     companion_matrix,
+    counting,
     is_primitive,
     local_exponent,
     local_exponent_table,
@@ -23,6 +24,7 @@ from companion_exponents import (
 )
 from helpers import (
     bit_slice,
+    column_batch_exponents,
     irreducible_rows,
     local_exponent_from_last,
     naive_bool_product,
@@ -202,6 +204,33 @@ class TestGeneralMatrices:
 batches = st.integers(1, 8).flatmap(lambda n: st.lists(general_matrices(n, n), min_size=1, max_size=12))
 
 
+@st.composite
+def sliced_batches(draw):
+    """Bit-sliced batches of 1-64 matrices of order 1-7, drawn entry by entry.
+
+    Each row is zero, one all-ones entry (a row the kernel copies) or random
+    entries.  Then the members in a random mask are overwritten with the
+    n-cycle permutation matrix, which is irreducible but not primitive
+    for n >= 2.
+    """
+    n, count = draw(st.integers(1, 7)), draw(st.integers(1, 64))
+    ones = (1 << count) - 1
+    entries = st.integers(0, ones)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("zero", "copy", "random")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "copy":
+            l = draw(st.integers(0, n - 1))
+            rows.append([ones if j == l else 0 for j in range(n)])
+        else:
+            rows.append([draw(entries) for _ in range(n)])
+    cyclic = draw(entries)
+    return [[e & ~cyclic | (cyclic if j == (i + 1) % n else 0) for j, e in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
 class TestBatchExponents:
     """The bit-sliced batch kernel against per-matrix packed powering."""
 
@@ -222,6 +251,20 @@ class TestBatchExponents:
             except NotPrimitiveError:
                 assert found == []
         assert sum(masks.values()) < 1 << len(batch)
+
+    @given(sliced_batches())
+    @example([[0]])
+    @example([[1]])
+    @example([[0, 0b11], [0b11, 0]])  # two copies of the 2-cycle: imprimitive
+    @example([[0, 0b11], [0b11, 0b01]])  # the second row is no copy; member 0 is primitive, member 1 not
+    @settings(deadline=None, max_examples=300)
+    def test_matches_column_order_kernel(self, batch):
+        assert oracle.batch_exponents(batch) == column_batch_exponents(batch)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_companion_batches_match_column_order_kernel_and_walk(self, n):
+        batch = bit_slice([companion_matrix(CompanionSpec(n, row)) for row in irreducible_rows(n)])
+        assert oracle.batch_exponents(batch) == column_batch_exponents(batch) == counting._walk(n)
 
     def test_order_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_POWERING_ORDER", 8)
