@@ -15,9 +15,8 @@ first row bit is 1: the edge n -> 1 is the only way back into vertex 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ReducibleError(ValueError):
@@ -43,33 +42,32 @@ def _parse_bits(row: Sequence[int] | str) -> tuple[int, ...]:
     return tuple(map(int, bits))  # 1.0 and True pass the check; store the ints they equal
 
 
-@dataclass(frozen=True)
-class CompanionSpec:
+class CompanionSpec(NamedTuple("CompanionSpec", [("n", int), ("row", tuple[int, ...])])):
     """Order n plus the last row of a (0,1) companion matrix.
 
     The row may be given as a bit string such as "10011000" or as a
     sequence of 0/1 ints; bit i (1-based) is the entry in column i of the
-    last row.  Orders below 2 are rejected.
+    last row, stored as a tuple of ints.  Orders below 2 are rejected.
     """
 
-    n: int
-    row: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"order must be an integer >= 2, got {self.n!r}")
-        bits = _parse_bits(self.row)
-        if len(bits) != self.n:
-            raise ValueError(f"row has {len(bits)} bits, expected n={self.n}")
-        object.__setattr__(self, "row", bits)
+    def __new__(cls, n: int, row: Sequence[int] | str) -> CompanionSpec:
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"order must be an integer >= 2, got {n!r}")
+        bits = _parse_bits(row)
+        if len(bits) != n:
+            raise ValueError(f"row has {len(bits)} bits, expected n={n}")
+        return tuple.__new__(cls, (n, bits))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     @property
     def row_string(self) -> str:
         return "".join(map("01".__getitem__, self.row))  # shared one-character strings, no str() per bit
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(NamedTuple):
     """Split of the vertices 1..n by the last row.
 
     `support` holds the columns with a 1 (vertex n has an edge there),
@@ -130,18 +128,19 @@ def is_primitive(spec: CompanionSpec) -> bool:
     return is_irreducible(spec) and imprimitivity_index(spec) == 1
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
+class BoolMatrix(NamedTuple("BoolMatrix", [("n", int), ("rows", tuple[int, ...])])):
     """Square (0,1) matrix with each row stored as a bitmask (bit j-1 = column j)."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.rows) != self.n:
-            raise ValueError(f"need exactly n={self.n} row bitmasks, got {len(self.rows)}")
-        if min(self.rows) < 0 or max(self.rows) >> self.n:
+    def __new__(cls, n: int, rows: tuple[int, ...]) -> BoolMatrix:
+        if n < 1 or len(rows) != n:
+            raise ValueError(f"need exactly n={n} row bitmasks, got {len(rows)}")
+        if min(rows) < 0 or max(rows) >> n:
             raise ValueError("row bitmask out of range for the given order")
+        return tuple.__new__(cls, (n, rows))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     @classmethod
     def from_lists(cls, entries: Sequence[Sequence[int]]) -> "BoolMatrix":

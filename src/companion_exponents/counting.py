@@ -11,10 +11,9 @@ byte-identical text for identical inputs and tool version.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import formulas, oracle
 from ._version import __version__
@@ -94,8 +93,7 @@ def list_imprimitive(n: int) -> list[str]:
     return ["1" + format(y, f"0{n - 1}b") for y in sorted(found)]
 
 
-@dataclass(frozen=True)
-class StringCountTable:
+class StringCountTable(NamedTuple):
     """counts[x][k]: length-n binary strings with x zeros and longest zero run exactly k."""
 
     n: int
@@ -233,8 +231,7 @@ def gap_progression_exponent_claim(n: int, smallest_cycle: int, start: int) -> i
     return n + q * l + (start - 2)
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """Exhaustive exponent census of the irreducible specs of one order."""
 
     n: int
@@ -262,6 +259,7 @@ class CensusRecord:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # only JSON output needs it, so the package imports without it
         payload = {
             "n": self.n,
             "total_irreducible": self.total_irreducible,
@@ -275,6 +273,7 @@ class CensusRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "CensusRecord":
+        import json
         data = json.loads(text)
         exponents = tuple(data["exponent_set"])
         return cls(

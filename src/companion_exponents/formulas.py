@@ -21,7 +21,6 @@ rule's body, which returns its unmet precondition instead of raising it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import wraps
 from operator import add, sub
 from typing import Callable, Mapping, NamedTuple
@@ -50,17 +49,18 @@ class PreconditionError(ValueError):
     """The spec does not satisfy the rule's precondition."""
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple("ExponentReport", [("value", int), ("rule", str),
+                                                   ("detail", Mapping[str, int] | None)])):
     """Exponent value plus the rule that produced it and the rule's parameters."""
 
-    value: int
-    rule: str
-    detail: Mapping[str, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
+    def __new__(cls, value: int, rule: str, detail: Mapping[str, int] | None = None) -> ExponentReport:
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+        return tuple.__new__(cls, (value, rule, detail))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
 
 def require_primitive(spec: CompanionSpec) -> tuple[int, ...]:

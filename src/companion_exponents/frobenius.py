@@ -19,8 +19,7 @@ sets with more than MAX_CONDUCTOR_WORK are refused with ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 MAX_CONDUCTOR_WORK = 4_000_000
@@ -32,8 +31,7 @@ class NotCoprimeError(ValueError):
     """The generators share a common factor, so the conductor does not exist."""
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Sorted distinct positive generators together with their gcd."""
 
     values: tuple[int, ...]

@@ -33,11 +33,10 @@ row of the previous power; in a companion batch that is n - 1 of the n rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import and_, or_
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import BoolMatrix, wielandt_bound
 
@@ -80,13 +79,13 @@ def _powers(m: BoolMatrix) -> Iterator[int]:
     NotPrimitiveError if the Wielandt bound passes first, ValueError above MAX_POWERING_ORDER."""
     check_powering_order(m.n)
     full = (1 << (m.n * m.n)) - 1
-    slots = _slots(m.n)
+    slots, rows, bound = _slots(m.n), m.rows, wielandt_bound(m.n)  # locals: a record field read costs more
     power, length = _pack(m), 1
     yield power
     while power != full:
-        if length == wielandt_bound(m.n):
+        if length == bound:
             raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {length}")
-        power, length = _times(power, m.rows, slots), length + 1
+        power, length = _times(power, rows, slots), length + 1
         yield power
 
 
@@ -137,8 +136,7 @@ def exponent(m: BoolMatrix) -> int:
     return sum(1 for _ in _powers(m))
 
 
-@dataclass(frozen=True)
-class LocalExponentTable:
+class LocalExponentTable(NamedTuple):
     """Local exponents exp(m : i, j) for every vertex pair of one primitive matrix."""
 
     n: int

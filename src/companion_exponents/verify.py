@@ -4,9 +4,10 @@ Each family re-derives a batch of facts two independent ways (closed form
 against enumeration, gcd test against powering) and reports one PASS/FAIL
 line.  Each order has one census walk (`counting._walk`) and one bit-sliced
 powering batch (`counting.powered_census`), both masks of rows by exponent.
-Primitivity and local-exponent-maxima read the batch; the latter holds each
-exponent against the local-exponent table and n - 1 plus the largest walk
-exponent from vertex n, after the published local exponents.
+Primitivity holds one mask per order, of the rows whose cycle lengths have
+gcd 1, against the batch.  Local-exponent-maxima reads the batch too: it
+holds each exponent against the local-exponent table and n - 1 plus the
+largest walk exponent from vertex n, after the published local exponents.
 Dispatch-soundness is the census's own three-way check of every primitive
 row's walk exponent against that batch and against the closed-form rule,
 where one applies.  Counting and membership read the walk masks, which
@@ -19,17 +20,19 @@ of the cycle-length semigroup, so on the row with those cycles exp(n -> n) = max
 Cycle-structure's walk counter holds each vertex's frontier as a bitmask,
 stepped along the edges, and stops each spec at its first repeated power:
 the frontiers matched it at both steps, so every later step of both
-walks repeats one already compared.  Families honor the requested maximum
-order but keep their own caps where the work grows too fast to be useful at
-the command line.
+walks repeats one already compared.  That power is all-positive exactly
+when the spec is primitive, which certifies `core.is_primitive`.  Families
+honor the requested maximum order but keep their own caps where the work
+grows too fast to be useful at the command line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import and_, or_
+from typing import NamedTuple
 
 from . import counting, formulas, frobenius, oracle
 from .core import (
@@ -42,8 +45,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -52,14 +54,14 @@ class CheckResult:
 _Specs = dict[int, tuple[CompanionSpec, ...]]
 _Records = dict[int, counting.CensusRecord]
 _Masks = dict[int, dict[int, int]]  # order -> exponent -> mask of its rows, bit y for "1" + (n-1 bits of y)
+_Lengths = dict[int, tuple[tuple[int, ...], ...]]  # order -> each irreducible spec's cycle lengths, in spec order
 
 
-def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
+def _check_cycle_structure(irreducible: _Specs, lengths: _Lengths) -> CheckResult:
     n_max = max(irreducible)
     for n, specs in irreducible.items():
-        for spec in specs:
-            lengths = cycle_lengths(spec)
-            if len(lengths) != spec.row.count(1) or max(lengths) != n:
+        for spec, found in zip(specs, lengths[n]):
+            if len(found) != spec.row.count(1) or max(found) != n:
                 return CheckResult("cycle-structure", False, f"bad lengths for {spec.n} {spec.row_string}")
     # walk counter: row i of the k-th power == the ends of i -> * walks of length k, held as a
     # bitmask (bit j - 1 for vertex j): the union, over the first steps i -> w, of w's frontier
@@ -81,19 +83,19 @@ def _check_cycle_structure(irreducible: _Specs) -> CheckResult:
                 if power.rows in seen:  # frontiers repeat with it, so every later step repeats a checked one
                     break
                 seen.add(power.rows)
+            if is_primitive(spec) != (power.rows == ((1 << n) - 1,) * n):  # all-positive: n ones in every row
+                return CheckResult(
+                    "cycle-structure", False, f"is_primitive disagrees with the walk on {spec.n} {spec.row_string}")
     checked = sum(map(len, irreducible.values()))
     return CheckResult("cycle-structure", True, f"{checked} specs, walk counter to order {min(n_max, 6)}")
 
 
-def _check_primitivity(irreducible: _Specs, primitive: _Specs, powered: _Masks) -> CheckResult:
-    by_gcd = set().union(*primitive.values())
+def _check_primitivity(irreducible: _Specs, coprime: dict[int, list[bool]], powered: _Masks) -> CheckResult:
     for n, specs in irreducible.items():
-        by_power = sum(powered[n].values())
-        for y, spec in enumerate(specs):
-            if (spec in by_gcd) != bool(by_power >> y & 1):
-                return CheckResult(
-                    "primitivity", False,
-                    f"gcd test and power test disagree on {spec.n} {spec.row_string}")
+        disagree = sum(flag << y for y, flag in enumerate(coprime[n])) ^ sum(powered[n].values())
+        if disagree:
+            spec = specs[(disagree & -disagree).bit_length() - 1]
+            return CheckResult("primitivity", False, f"gcd test and power test disagree on {spec.n} {spec.row_string}")
     checked = sum(map(len, irreducible.values()))
     return CheckResult("primitivity", True, f"{checked} irreducible specs to order {max(irreducible)}")
 
@@ -240,18 +242,21 @@ def _check_membership(records: _Records, primitive: _Specs, walks: _Masks) -> Ch
 def run_all(n_max: int) -> list[CheckResult]:
     """Run every family up to the requested order (3 <= n_max <= 12), all of
     them on one enumeration of each order's irreducible and primitive specs,
-    one census walk and one powered census batch per order."""
+    the cycle lengths of each irreducible spec, read once, one census walk and
+    one powered census batch per order."""
     if not 3 <= n_max <= 12:
         raise ValueError(f"n-max must be in [3, 12], got {n_max}")
     irreducible = {n: tuple(CompanionSpec(n, counting._row(n, y)) for y in range(1 << (n - 1)))
                    for n in range(3, n_max + 1)}
-    primitive = {n: tuple(filter(is_primitive, specs)) for n, specs in irreducible.items()}
+    lengths = {n: tuple(map(cycle_lengths, specs)) for n, specs in irreducible.items()}
+    coprime = {n: [math.gcd(*l) == 1 for l in order] for n, order in lengths.items()}  # is_primitive's test
+    primitive = {n: tuple(compress(irreducible[n], flags)) for n, flags in coprime.items()}
     walks = {n: counting._walk(n) for n in irreducible}
     records = {n: counting._record(n, masks) for n, masks in walks.items()}
     powered = {n: counting.powered_census(n) for n in irreducible}
     return [
-        _check_cycle_structure(irreducible),
-        _check_primitivity(irreducible, primitive, powered),
+        _check_cycle_structure(irreducible, lengths),
+        _check_primitivity(irreducible, coprime, powered),
         _check_local_exponent_maxima({n: primitive[n] for n in range(3, min(n_max, 8) + 1)}, powered),
         _check_dispatch(irreducible, walks, powered),
         _check_range_uniqueness(records),

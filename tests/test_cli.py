@@ -1,7 +1,6 @@
 """CLI surface: output formats, exit codes, file emission."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -242,8 +241,8 @@ class TestCensusCommand:
         real = formulas.exponent
         monkeypatch.setattr(
             formulas, "exponent",
-            lambda spec, allow_oracle=True: dataclasses.replace(
-                real(spec, allow_oracle), value=real(spec, allow_oracle).value + 1))
+            lambda spec, allow_oracle=True: real(spec, allow_oracle)._replace(
+                value=real(spec, allow_oracle).value + 1))
         out_path = tmp_path / "c6.csv"
         code, _, err = run(capsys, "census", "6", "--check-oracle", "--out", str(out_path))
         assert code == 4
@@ -512,7 +511,7 @@ class TestVerify:
             report = real(spec, allow_oracle)
             if (spec.n, spec.row_string) != (6, "110000"):
                 return report
-            return dataclasses.replace(report, value=report.value + 1)
+            return report._replace(value=report.value + 1)
 
         monkeypatch.setattr(formulas, "exponent", off_by_one)
         code, out, _ = run(capsys, "verify", "--n-max", "6")
@@ -612,6 +611,16 @@ class TestVerify:
         assert code == 4
         assert self.failed_families(out) == ["FAIL cycle-structure: bad lengths for 6 110010"]
 
+    @pytest.mark.parametrize("row", ["100100", "110010"])
+    def test_is_primitive_failure_exit_four(self, capsys, monkeypatch, row):
+        # the walk counter's repeated power is all-positive exactly on primitive rows; primitivity
+        # reads the cycle lengths instead, so only cycle-structure sees the flipped answer
+        real = verify.is_primitive
+        monkeypatch.setattr(verify, "is_primitive", lambda spec: real(spec) != (spec.row_string == row))
+        code, out, _ = run(capsys, "verify", "--n-max", "7")
+        assert code == 4
+        assert self.failed_families(out) == [f"FAIL cycle-structure: is_primitive disagrees with the walk on 6 {row}"]
+
     @pytest.mark.parametrize("r, n", [(2, 0), (3, 7), (5, 10)])
     def test_run_avoidance_failure_exit_four(self, capsys, monkeypatch, r, n):
         real = counting.t_runs
@@ -674,7 +683,8 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "bool_product", counted)
         irreducible = {n: tuple(CompanionSpec(n, row) for row in irreducible_rows(n)) for n in range(3, 7)}
-        assert verify._check_cycle_structure(irreducible).passed
+        lengths = {n: tuple(map(core.cycle_lengths, specs)) for n, specs in irreducible.items()}
+        assert verify._check_cycle_structure(irreducible, lengths).passed
         assert calls == {n: sum(first_repeated_power(companion_matrix(spec).to_lists()) for spec in specs)
                          for n, specs in irreducible.items()}
         assert sum(calls.values()) == 541  # 1204 when every spec is stepped to the Wielandt bound
@@ -705,13 +715,13 @@ class TestVerify:
         # local-exponent-maxima adds one for each row with published local exponents, and
         # conductors one for each certified set, at its largest generator
         made = Counter()
-        real = CompanionSpec.__post_init__
+        real = CompanionSpec.__new__
 
-        def counted(spec):
-            made[spec.n] += 1
-            real(spec)
+        def counted(cls, n, row):
+            made[n] += 1
+            return real(cls, n, row)
 
-        monkeypatch.setattr(CompanionSpec, "__post_init__", counted)
+        monkeypatch.setattr(CompanionSpec, "__new__", counted)
         assert all(result.passed for result in verify.run_all(11))
         certified = Counter([3, 5, 8, 7, 15, 11, 13])
         assert made == {n: (1 << (n - 1)) + (n == 8) + certified[n] for n in range(3, 12)} | {13: 1, 15: 1, 16: 1}
@@ -731,13 +741,13 @@ class TestVerify:
 
     def test_specs_enumerated_once_per_order(self, monkeypatch):
         calls = Counter()
-        real = verify.is_primitive
+        real = verify.cycle_lengths
 
         def counted(spec):
             calls[spec.n] += 1
             return real(spec)
 
-        monkeypatch.setattr(verify, "is_primitive", counted)
+        monkeypatch.setattr(verify, "cycle_lengths", counted)
         assert all(result.passed for result in verify.run_all(11))
         assert calls == {n: 1 << (n - 1) for n in range(3, 12)}
 

@@ -1,6 +1,5 @@
 """Counting formulas, string statistics, and the exponent census."""
 
-import dataclasses
 import hashlib
 from collections import Counter
 
@@ -388,7 +387,7 @@ class TestCensus:
 
         def bumped(spec, allow_oracle=True):
             report = real_rules(spec, allow_oracle)
-            return dataclasses.replace(report, value=report.value + 1)
+            return report._replace(value=report.value + 1)
 
         monkeypatch.setattr(formulas, "exponent", bumped)
         with pytest.raises(DispatchMismatchError,
