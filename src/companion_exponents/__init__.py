@@ -40,13 +40,9 @@ from .counting import (
 from .formulas import (
     ExponentReport,
     PreconditionError,
-    block_prefix_exponent,
     exponent,
     local_exponents_from_last,
-    positive_trace_exponent,
     require_primitive,
-    smallest_cycle_two_exponent,
-    two_cycle_exponent,
 )
 from .frobenius import (
     GeneratorSet,
@@ -80,7 +76,6 @@ __all__ = [
     "ReducibleError",
     "StringCountTable",
     "VertexPartition",
-    "block_prefix_exponent",
     "block_prefix_upper_count",
     "bool_product",
     "census",
@@ -103,15 +98,12 @@ __all__ = [
     "longest_run",
     "oracle_exponent",
     "pair_conductor",
-    "positive_trace_exponent",
     "progression_conductor",
     "representable",
     "require_primitive",
-    "smallest_cycle_two_exponent",
     "string_count_table",
     "t_runs",
     "two_coprime_exponent_claim",
-    "two_cycle_exponent",
     "vertex_partition",
     "wielandt_bound",
 ]

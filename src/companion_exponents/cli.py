@@ -12,13 +12,12 @@ import os
 import sys
 from pathlib import Path
 
-from . import counting, formulas, oracle
+from . import counting, formulas
 from . import verify as verify_mod
-from .core import CompanionSpec, ReducibleError, companion_matrix
+from .core import CompanionSpec, ReducibleError
 from .counting import DispatchMismatchError
-from .formulas import RULE_ORACLE, ExponentReport, PreconditionError
+from .formulas import NotPrimitiveError, PreconditionError
 from .frobenius import conductor
-from .oracle import NotPrimitiveError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -37,13 +36,12 @@ def _cmd_exp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if args.oracle_only:
         formulas.require_primitive(spec)
-        oracle.check_powering_order(spec.n)
-        report = ExponentReport(oracle.exponent(companion_matrix(spec)), RULE_ORACLE)
+        report = formulas.oracle_report(spec)
     else:
         try:
             report = formulas.exponent(spec, allow_oracle=not args.rule_only)
-        except PreconditionError:
-            print("no closed-form rule applies", file=sys.stderr)
+        except PreconditionError as exc:
+            print(str(exc), file=sys.stderr)
             return EXIT_VERIFY_FAILED
     print(f"exp={report.value} rule={report.rule}")
     return EXIT_OK
@@ -53,7 +51,7 @@ def _cmd_local_exp(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if not (1 <= args.i <= spec.n and 1 <= args.j <= spec.n):
         raise ValueError(f"vertices must lie in [1, {spec.n}]")
-    print(max(1, spec.n - args.i + formulas.local_exponents_from_last(spec)[args.j - 1]))
+    print(max(1, spec.n - args.i + formulas.exponent_from_last(spec, args.j)))
     return EXIT_OK
 
 

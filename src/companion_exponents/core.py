@@ -143,27 +143,8 @@ class BoolMatrix(NamedTuple("BoolMatrix", [("n", int), ("rows", tuple[int, ...])
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]]) -> "BoolMatrix":
-        n = len(entries)
-        rows = []
-        for r in entries:
-            if len(r) != n or any(v not in (0, 1) for v in r):
-                raise ValueError("entries must form a square 0/1 matrix")
-            rows.append(sum(v << j for j, v in enumerate(r)))
-        return cls(n, tuple(rows))
-
-    @classmethod
     def identity(cls, n: int) -> "BoolMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry in 1-based (row i, column j)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"({i}, {j}) out of [1, {self.n}]^2")
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
 
 
 def companion_matrix(spec: CompanionSpec) -> BoolMatrix:

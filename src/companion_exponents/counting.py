@@ -271,19 +271,6 @@ class CensusRecord(NamedTuple):
         }
         return json.dumps(payload, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "CensusRecord":
-        import json
-        data = json.loads(text)
-        exponents = tuple(data["exponent_set"])
-        return cls(
-            n=data["n"],
-            histogram={int(k): v for k, v in data["histogram"].items()},
-            exponent_set=exponents,
-            witnesses={int(k): v for k, v in data["witnesses"].items()},
-            imprimitive_count=data["imprimitive_count"],
-        )
-
 
 def _walk(n: int) -> dict[int, int]:
     """Exponent -> mask of the rows attaining it, for every primitive row of order n.

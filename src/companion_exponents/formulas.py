@@ -7,32 +7,28 @@ equals the true exponent; only the reported rule name depends on the
 order.
 
 Throughout, `zeros`/`support` split the vertices 1..n by the last row
-(see core.vertex_partition).  Local exponents have one path,
-`local_exponents_from_last`, which reads every e(n -> j) off the
-conductor's residue table.
+(see core.vertex_partition).  Local exponents are read off the
+conductor's residue table by one fold: `local_exponents_from_last` for
+every e(n -> j), `exponent_from_last` for one.
 
-Every rule reads one private facts object, built once per spec from the
-sorted cycle lengths: those lengths, the longest zero run and the
-`support` mask with vertex i at bit i - 1.  No rule on `exponent`'s path
-needs more than one pass over the support, and `exponent` calls each
-rule's body, which returns its unmet precondition instead of raising it.
+Each rule is a private body that reads one facts object, built once per
+spec from the sorted cycle lengths: those lengths, the longest zero run
+and the `support` mask with vertex i at bit i - 1.  A body returns its
+report, or its unmet precondition as a string; `exponent` calls the
+bodies in order on the facts of a spec it has proved primitive, and no
+body needs more than one pass over the support.
 """
 
 from __future__ import annotations
 
 import math
-from functools import wraps
-from operator import add, sub
-from typing import Callable, Mapping, NamedTuple
+from itertools import repeat
+from operator import sub
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import oracle
-from .core import (
-    CompanionSpec,
-    companion_matrix,
-    cycle_lengths,
-    is_irreducible,
-)
-from .frobenius import conductor, least_residues
+from .core import CompanionSpec, companion_matrix, cycle_lengths, is_irreducible
+from .frobenius import _least, conductor, least_residues
 from .oracle import NotPrimitiveError
 
 RULE_POSITIVE_TRACE = "POSITIVE_TRACE"
@@ -91,24 +87,7 @@ class _SpecFacts(NamedTuple):
                    max(map(sub, lengths, (0,) + lengths)) - 1)
 
 
-def _rule(body: Callable[[_SpecFacts], ExponentReport | str]) -> Callable[[CompanionSpec], ExponentReport]:
-    """The rule on a spec from its body on the facts, which returns the report or the unmet precondition:
-    PreconditionError for that, or for a spec that is not primitive.  `exponent` calls the bodies."""
-    @wraps(body)
-    def rule(spec: CompanionSpec) -> ExponentReport:
-        try:
-            lengths = require_primitive(spec)
-        except NotPrimitiveError:
-            raise PreconditionError("spec is not primitive") from None
-        report = body(_SpecFacts.of(spec, lengths))
-        if isinstance(report, str):
-            raise PreconditionError(report)
-        return report
-    return rule
-
-
-@_rule
-def positive_trace_exponent(f: _SpecFacts) -> ExponentReport | str:
+def _positive_trace(f: _SpecFacts) -> ExponentReport | str:
     """Exponent n + (longest zero run) for a primitive spec with a loop at vertex n.
 
     The loop lets walks idle at n, so only the forced march through the
@@ -120,8 +99,7 @@ def positive_trace_exponent(f: _SpecFacts) -> ExponentReport | str:
     return ExponentReport(f.n + run, RULE_POSITIVE_TRACE, {"longest_zero_run": run})
 
 
-@_rule
-def two_cycle_exponent(f: _SpecFacts) -> ExponentReport | str:
+def _two_cycles(f: _SpecFacts) -> ExponentReport | str:
     """Exponent n + s(n-2) when the digraph has exactly two cycle lengths, n and s >= 2."""
     if f.n < 3 or len(f.lengths) != 2:
         return "two-cycle rule needs n >= 3 and exactly two cycle lengths"
@@ -131,6 +109,17 @@ def two_cycle_exponent(f: _SpecFacts) -> ExponentReport | str:
     return ExponentReport(f.n + s * (f.n - 2), RULE_TWO_CYCLES, {"short_cycle": s})
 
 
+def _minima(least: list[float], vertices: Iterable[int]) -> Iterator[list[float]]:
+    """m after each support vertex s in turn: m[u] is the minimum over the vertices so far of
+    least[(u + s - 1) % a] - (s - 1), the table rotated left by s - 1, less s - 1."""
+    a, twice = len(least), least * 2
+    low: list[float] = [math.inf] * a
+    for s in vertices:
+        r = (s - 1) % a
+        low = list(map(min, low, map(sub, twice[r:r + a], repeat(s - 1))))
+        yield low
+
+
 def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
     """e(n -> j) for j = 1..n: the least k such that walks from vertex n of every length >= k
     end at j, so exp(i -> j) = max(1, n - i + e(n -> j)).  NotPrimitiveError first.
@@ -138,28 +127,40 @@ def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
     A walk n -> j is whole cycles, one jump to a support vertex s <= j and j - s steps, so its
     lengths are x + j - s + 1 for x in the cycle-length semigroup.  With a the smallest cycle
     length and least = `frobenius.least_residues`, the shortest one in class u + j (mod a) is
-    j + u + min over s of least[(u + s - 1) % a] - (u + s - 1), and e is its maximum over u,
-    minus a - 1; a zero vertex adds its distance above its support anchor, and at j = n with
-    a = 1 the empty walk counts.  O(|support| * a), which the MAX_CONDUCTOR_WORK cap bounds.
+    j + m[u] (`_minima` over the support vertices <= j), so e(n -> j) = j + max(m) - a + 1; a zero
+    vertex shares its anchor's m, and at j = n with a = 1 the empty walk counts.  One fold per
+    support vertex, O(|support| * a), which the MAX_CONDUCTOR_WORK cap on the table bounds.
     """
     lengths = require_primitive(spec)
-    a = lengths[0]
+    n, a = spec.n, lengths[0]
     least = least_residues(lengths)
-    shifted = [least[w % a] - w for w in range(spec.n + a)]  # read at w = u + s - 1
-    shortest: list[float] = [math.inf] * a  # min over the support so far, for each u
-    out = []
-    for j, bit in enumerate(spec.row, 1):
-        if bit:
-            shortest = list(map(min, shortest, shifted[j - 1:j - 1 + a]))
-            top = max(map(add, shortest, range(a))) - a + 1
-        out.append(top + j)
+    vertices = [n + 1 - l for l in reversed(lengths)]  # ascending; n + 1 ends the last zero run
+    out: list[int] = []
+    for s, up, low in zip(vertices, vertices[1:] + [n + 1], _minima(least, vertices)):
+        top = max(low) - a + 1
+        out.extend(range(top + s, top + up))
     if a == 1:  # the empty walk at n
         out[-1] = 0
     return tuple(out)
 
 
-@_rule
-def block_prefix_exponent(f: _SpecFacts) -> ExponentReport | str:
+def exponent_from_last(spec: CompanionSpec, j: int) -> int:
+    """e(n -> j) for one vertex 1 <= j <= n, as `local_exponents_from_last` gives it.  Only the
+    latest support vertex s <= j in each class of s - 1 modulo a is folded (an earlier one gives
+    the same rotation lowered by less), on the table of one cycle length per class, so the work
+    is a * classes under the conductor's own MAX_CONDUCTOR_WORK cap.  NotPrimitiveError first."""
+    lengths = require_primitive(spec)
+    n, a = spec.n, lengths[0]
+    least = _least(lengths)
+    if j == n and a == 1:  # the empty walk at n
+        return 0
+    anchors = {l % a: n + 1 - l for l in reversed(lengths) if l > n - j}  # s - 1 = n - l
+    for low in _minima(least, anchors.values()):
+        pass
+    return j + max(low) - a + 1
+
+
+def _block_prefix(f: _SpecFacts) -> ExponentReport | str:
     """Exponent n + conductor + (longest zero run) when the zero run at
     vertex 2 is a longest one.
 
@@ -173,15 +174,10 @@ def block_prefix_exponent(f: _SpecFacts) -> ExponentReport | str:
     if f.support >> 1 & ((1 << run) - 1):  # some vertex in 2 .. run + 1 is in the support
         return "the zero run starting at vertex 2 must be a longest one"
     c = conductor(f.lengths)
-    return ExponentReport(
-        f.n + c + run,
-        RULE_BLOCK_V1_PREFIX,
-        {"conductor": c, "longest_zero_run": run},
-    )
+    return ExponentReport(f.n + c + run, RULE_BLOCK_V1_PREFIX, {"conductor": c, "longest_zero_run": run})
 
 
-@_rule
-def smallest_cycle_two_exponent(f: _SpecFacts) -> ExponentReport | str:
+def _smallest_cycle_two(f: _SpecFacts) -> ExponentReport | str:
     """Exponent for primitive zero-trace specs whose smallest cycle length is 2.
 
     With a 2-cycle present, exp(1 -> j) at a support vertex j is
@@ -210,12 +206,7 @@ def smallest_cycle_two_exponent(f: _SpecFacts) -> ExponentReport | str:
     return ExponentReport(best, RULE_SMALLEST_CYCLE_2, {"smallest_odd_cycle": s})
 
 
-_RULE_ORDER = (
-    positive_trace_exponent,
-    two_cycle_exponent,
-    smallest_cycle_two_exponent,
-    block_prefix_exponent,
-)
+_RULE_ORDER = (_positive_trace, _two_cycles, _smallest_cycle_two, _block_prefix)
 
 
 def exponent(spec: CompanionSpec, allow_oracle: bool = True) -> ExponentReport:
@@ -228,10 +219,16 @@ def exponent(spec: CompanionSpec, allow_oracle: bool = True) -> ExponentReport:
     """
     facts = _SpecFacts.of(spec, require_primitive(spec))
     for rule in _RULE_ORDER:
-        report = rule.__wrapped__(facts)
+        report = rule(facts)
         if not isinstance(report, str):
             return report
     if not allow_oracle:
         raise PreconditionError("no closed-form rule applies")
+    return oracle_report(spec)
+
+
+def oracle_report(spec: CompanionSpec) -> ExponentReport:
+    """The ORACLE report of a spec already proved primitive (so that refusal comes first at any
+    order): its matrix powered, or ValueError above the powering cap before the matrix is built."""
     oracle.check_powering_order(spec.n)
     return ExponentReport(oracle.exponent(companion_matrix(spec)), RULE_ORACLE)

@@ -10,10 +10,11 @@ that convention and the off-by-one is easy to smuggle in otherwise.
 `least_residues` finds, for every residue r modulo the smallest generator
 a, the smallest representable integer congruent to r, by round-robin
 shortest paths (Boecker & Liptak, Algorithmica 2007): O(a*u) time and
-O(a) memory for u generators.  `conductor` (its maximum minus a - 1) and
-`representable` build it from the least generator of each class modulo a,
-since the others add multiples of a to it: the work is a*min(u, a), and
-sets with more than MAX_CONDUCTOR_WORK are refused with ValueError.
+O(a) memory for u generators.  `conductor` (its maximum minus a - 1),
+`representable` and `formulas.exponent_from_last` build it from the least
+generator of each class modulo a, since the others add multiples of a to
+it: the work is a*min(u, a), and sets with more than MAX_CONDUCTOR_WORK are
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 
 MAX_CONDUCTOR_WORK = 4_000_000
-"""Largest smallest-generator times generator-count `least_residues` accepts (about 1 s; `local-exp`
-folds the table on top, 1.6-2.1 s at worst); `conductor` and `representable` count one per class."""
+"""Largest smallest-generator times generator-count `least_residues` accepts (about 1 s); `conductor`,
+`representable` and `local-exp` count one per class (`local-exp` folds the table on top, 0.2-2.3 s at worst)."""
 
 
 class NotCoprimeError(ValueError):

@@ -107,9 +107,9 @@ _PUBLISHED = {"10011000": {4: 15, 5: 16}, "1101100100010010": {15: 18, 12: 20}}
 def _check_local_exponent_maxima(primitive: _Specs, powered: _Masks) -> CheckResult:
     for row, published in _PUBLISHED.items():
         spec = CompanionSpec(len(row), row)
-        m, from_last = companion_matrix(spec), formulas.local_exponents_from_last(spec)
+        m = companion_matrix(spec)
         for j, value in published.items():
-            found = {oracle.local_exponent(m, 1, j), spec.n - 1 + from_last[j - 1]}
+            found = {oracle.local_exponent(m, 1, j), spec.n - 1 + formulas.exponent_from_last(spec, j)}
             if found != {value}:
                 return CheckResult("local-exponent-maxima", False,
                                    f"{spec.n} {row}: exp(1 -> {j}) in {sorted(found)}, published {value}")

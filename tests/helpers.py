@@ -18,6 +18,11 @@ from collections import Counter
 import networkx as nx
 
 
+def as_lists(m) -> list[list[int]]:
+    """A BoolMatrix as nested 0/1 lists: entry (i, j) is bit j - 1 of row i - 1."""
+    return [[r >> j & 1 for j in range(m.n)] for r in m.rows]
+
+
 def naive_bool_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
     return [
@@ -125,8 +130,8 @@ def bit_slice(matrices) -> list[list[int]]:
     """A batch of same-order BoolMatrix objects bit-sliced: entry (i, j) holds bit r
     exactly when matrix r has entry (i + 1, j + 1), read one entry at a time."""
     n = matrices[0].n
-    return [[sum(1 << r for r, m in enumerate(matrices) if m.entry(i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)]
+    return [[sum(1 << r for r, m in enumerate(matrices) if m.rows[i] >> j & 1) for j in range(n)]
+            for i in range(n)]
 
 
 def column_batch_exponents(m: list[list[int]]) -> dict[int, int]:

@@ -28,6 +28,7 @@ from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
 from companion_exponents.cli import main
 from companion_exponents.oracle import MAX_POWERING_ORDER
 from helpers import (
+    as_lists,
     first_repeated_power,
     irreducible_rows,
     local_exponent_from_last,
@@ -208,6 +209,19 @@ class TestLocalExp:
     def test_wielandt_row_at_order_20001(self, capsys):
         n = 20_001
         assert run(capsys, "local-exp", str(n), "11" + "0" * (n - 2), "1", "1") == (0, f"{(n - 1) ** 2 + 1}\n", "")
+
+    def test_repeated_classes_answer(self, capsys):
+        # a = 1001 and 98 000 cycle lengths in 1001 classes: the table and the fold count classes
+        n = 100_000
+        row = "1" + "0" * 1000 + "1" * (n - 2001) + "0" * 1000
+        for j, expected in ((1, 101_001), (50_000, 100_000), (100_000, 101_000)):
+            assert run(capsys, "local-exp", str(n), row, "1", str(j)) == (0, f"{expected}\n", "")
+
+    def test_conductor_cap_counts_classes(self, capsys):
+        # a = 2001 with 2000 classes: 2001 * 2000 is over the cap
+        assert run(capsys, "local-exp", "4000", "1" * 2000 + "0" * 2000, "1", "1") == (
+            2, "", f"smallest generator 2001 times 2000 generators exceeds the limit {MAX_CONDUCTOR_WORK} "
+            "(MAX_CONDUCTOR_WORK)\n")
 
 
 class TestCensusCommand:
@@ -685,7 +699,7 @@ class TestVerify:
         irreducible = {n: tuple(CompanionSpec(n, row) for row in irreducible_rows(n)) for n in range(3, 7)}
         lengths = {n: tuple(map(core.cycle_lengths, specs)) for n, specs in irreducible.items()}
         assert verify._check_cycle_structure(irreducible, lengths).passed
-        assert calls == {n: sum(first_repeated_power(companion_matrix(spec).to_lists()) for spec in specs)
+        assert calls == {n: sum(first_repeated_power(as_lists(companion_matrix(spec))) for spec in specs)
                          for n, specs in irreducible.items()}
         assert sum(calls.values()) == 541  # 1204 when every spec is stepped to the Wielandt bound
 
@@ -693,7 +707,7 @@ class TestVerify:
         # 6 100100 (cycles 6 and 3) first repeats a power at step 9: flip entry (2, 5) of its
         # power at step 8, the last step before the repeat
         target = companion_matrix(CompanionSpec(6, "100100"))
-        assert first_repeated_power(target.to_lists()) == 9
+        assert first_repeated_power(as_lists(target)) == 9
         real, steps = oracle.bool_product, Counter()
 
         def faulty(x, y):

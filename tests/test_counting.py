@@ -1,12 +1,12 @@
 """Counting formulas, string statistics, and the exponent census."""
 
 import hashlib
+import json
 from collections import Counter
 
 import pytest
 
 from companion_exponents import (
-    CensusRecord,
     CompanionSpec,
     DispatchMismatchError,
     companion_matrix,
@@ -484,12 +484,13 @@ class TestCensusSerialization:
         record = census_cache(6)
         text = record.to_json()
         assert text.endswith("\n")
-        restored = CensusRecord.from_json(text)
-        assert restored == record
+        data = json.loads(text)
+        assert (data["n"], data["imprimitive_count"], tuple(data["exponent_set"])) == (
+            record.n, record.imprimitive_count, record.exponent_set)
+        assert {int(e): c for e, c in data["histogram"].items()} == record.histogram
+        assert {int(e): w for e, w in data["witnesses"].items()} == record.witnesses
 
     def test_json_fields(self, census_cache):
-        import json
-
         data = json.loads(census_cache(6).to_json())
         assert set(data) == {
             "n", "total_irreducible", "imprimitive_count", "histogram",

@@ -22,13 +22,10 @@ from companion_exponents import (
     local_exponents_from_last,
     longest_run,
     oracle_exponent,
-    positive_trace_exponent,
-    smallest_cycle_two_exponent,
-    two_cycle_exponent,
     vertex_partition,
     wielandt_bound,
 )
-from companion_exponents import core, formulas
+from companion_exponents import formulas
 from companion_exponents.formulas import (
     RULE_BLOCK_V1_PREFIX,
     RULE_ORACLE,
@@ -37,7 +34,6 @@ from companion_exponents.formulas import (
     RULE_TWO_CYCLES,
     RULES,
     ExponentReport,
-    block_prefix_exponent,
 )
 import helpers
 from helpers import irreducible_rows
@@ -62,6 +58,11 @@ REPORT_DIGESTS = {
 }
 # The same over 60 seeded random irreducible rows per order 15..64, rules only.
 SAMPLED_REPORT_DIGEST = "268eed384cd363502fddb53ba361f989f35c975b6d0396c26f6218ae6372cec4"
+
+
+def facts(spec):
+    """What `exponent` hands each rule body, for a primitive spec."""
+    return formulas._SpecFacts.of(spec, formulas.require_primitive(spec))
 
 
 def primitive_specs(n):
@@ -236,9 +237,30 @@ class TestLocalExponentsFromLast:
             self.from_last("0" + "1" * 7)
 
     def test_conductor_cap(self):
-        # lower half of order 4000: |support| * l = 2000 * 2001
-        with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
-            self.from_last("1" * 2000 + "0" * 2000)
+        for row in (
+            "1" * 2000 + "0" * 2000,  # lower half of order 4000: |support| * l = 2000 * 2001
+            # l = 1001 and 98 000 cycle lengths in 1001 classes: the cap counts every length, not each class
+            "1" + "0" * 1000 + "1" * 97_999 + "0" * 1000,
+        ):
+            with pytest.raises(ValueError, match="MAX_CONDUCTOR_WORK"):
+                self.from_last(row)
+
+
+class TestExponentFromLast:
+    """e(n -> j) for one vertex, folding the latest support vertex <= j of each class modulo l."""
+
+    def test_every_vertex_of_small_orders(self):
+        for n in range(2, 11):
+            for spec in primitive_specs(n):
+                e = local_exponents_from_last(spec)
+                assert [formulas.exponent_from_last(spec, j) for j in range(1, n + 1)] == list(e)
+
+    @given(primitive_rows(65, 600), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_from_n_past_powering(self, row, data):
+        spec = CompanionSpec(len(row), row)
+        for j in data.draw(st.lists(st.integers(1, len(row)), min_size=1, max_size=3)):
+            assert formulas.exponent_from_last(spec, j) == helpers.local_exponent_from_last(row, j)
 
 
 class TestReportsPinned:
@@ -273,7 +295,7 @@ class TestBitmaskVertexRules:
             assert_vertex_rules(row, j, fold)
         assert fold(1) == n + conductor(cycle_lengths(spec))
         if helpers.smallest_cycle(row) == 2:
-            assert smallest_cycle_two_exponent(spec).value == helpers.smallest_cycle_two_value(row)
+            assert formulas._smallest_cycle_two(facts(spec)).value == helpers.smallest_cycle_two_value(row)
 
     @given(zero_trace_primitive_rows(65, 600), st.data())
     @settings(max_examples=60, deadline=None)
@@ -310,32 +332,32 @@ class TestExponentReport:
 class TestPositiveTrace:
     def test_all_ones_row(self):
         for n in (2, 3, 5, 8):
-            report = positive_trace_exponent(CompanionSpec(n, "1" * n))
+            report = formulas._positive_trace(facts(CompanionSpec(n, "1" * n)))
             assert report.value == n
             assert report.rule == RULE_POSITIVE_TRACE
 
     def test_worked_example(self):
         spec = CompanionSpec(8, "10001111")
-        report = positive_trace_exponent(spec)
+        report = formulas._positive_trace(facts(spec))
         assert report.value == 11
         assert report.detail == {"longest_zero_run": 3}
         assert oracle_exponent(companion_matrix(spec)) == 11
 
     def test_top_of_interval(self):
         spec = CompanionSpec(10, "1000000001")
-        assert positive_trace_exponent(spec).value == 18
+        assert formulas._positive_trace(facts(spec)).value == 18
         assert oracle_exponent(companion_matrix(spec)) == 18
 
     def test_zero_trace_rejected(self):
-        with pytest.raises(PreconditionError):
-            positive_trace_exponent(CompanionSpec(8, "10011000"))
+        assert formulas._positive_trace(facts(CompanionSpec(8, "10011000"))) == (
+            "positive-trace rule needs a loop at vertex n (last bit 1)")
 
     def test_exact_on_all_positive_trace_specs(self):
         for n in range(2, 9):
             for spec in primitive_specs(n):
                 if spec.row[-1] != 1:
                     continue
-                assert positive_trace_exponent(spec).value == oracle_exponent(companion_matrix(spec))
+                assert formulas._positive_trace(facts(spec)).value == oracle_exponent(companion_matrix(spec))
 
     def test_local_form(self):
         # positive trace: exp(i -> j) is n-i+1 on the support, plus the
@@ -361,22 +383,22 @@ class TestPositiveTrace:
 class TestTwoCycles:
     def test_short_cycle_two(self):
         spec = CompanionSpec(5, "10010")
-        report = two_cycle_exponent(spec)
+        report = formulas._two_cycles(facts(spec))
         assert report.value == 11
         assert report.rule == RULE_TWO_CYCLES
         assert oracle_exponent(companion_matrix(spec)) == 11
 
     def test_wielandt_attainment(self):
-        report = two_cycle_exponent(CompanionSpec(8, "11000000"))
+        report = formulas._two_cycles(facts(CompanionSpec(8, "11000000")))
         assert report.value == 50 == wielandt_bound(8)
 
     def test_loop_case_excluded(self):
-        with pytest.raises(PreconditionError):
-            two_cycle_exponent(CompanionSpec(8, "10000001"))
+        assert formulas._two_cycles(facts(CompanionSpec(8, "10000001"))) == (
+            "short cycle of length 1 is the positive-trace case")
 
     def test_three_cycles_rejected(self):
-        with pytest.raises(PreconditionError):
-            two_cycle_exponent(CompanionSpec(8, "10011000"))
+        assert formulas._two_cycles(facts(CompanionSpec(8, "10011000"))) == (
+            "two-cycle rule needs n >= 3 and exactly two cycle lengths")
 
 
 class TestOriginLocalExponent:
@@ -533,19 +555,19 @@ class TestGapRule:
 
 class TestBlockPrefix:
     def test_prefix_not_longest_falls_through(self):
-        with pytest.raises(PreconditionError):
-            block_prefix_exponent(CompanionSpec(5, "11000"))
+        assert formulas._block_prefix(facts(CompanionSpec(5, "11000"))) == (
+            "the zero run starting at vertex 2 must be a longest one")
 
     def test_worked_example_order_seven(self):
         spec = CompanionSpec(7, "1001100")
-        report = block_prefix_exponent(spec)
+        report = formulas._block_prefix(facts(spec))
         assert report.value == 15
         assert report.detail == {"conductor": 6, "longest_zero_run": 2}
         assert oracle_exponent(companion_matrix(spec)) == 15
 
     def test_worked_example_order_six(self):
         spec = CompanionSpec(6, "100110")
-        report = block_prefix_exponent(spec)
+        report = formulas._block_prefix(facts(spec))
         assert report.value == 10
         assert oracle_exponent(companion_matrix(spec)) == 10
 
@@ -558,19 +580,19 @@ class TestBlockPrefix:
                 run = longest_run(part.zeros)
                 if not all(v in part.zeros for v in range(2, run + 2)):
                     continue
-                assert block_prefix_exponent(spec).value == oracle_exponent(companion_matrix(spec))
+                assert formulas._block_prefix(facts(spec)).value == oracle_exponent(companion_matrix(spec))
 
 
 class TestSmallestCycleTwo:
     def test_wide_spec(self):
-        report = smallest_cycle_two_exponent(WIDE_SPEC)
+        report = formulas._smallest_cycle_two(facts(WIDE_SPEC))
         assert report.value == 22 == oracle_exponent(companion_matrix(WIDE_SPEC))
         assert report.detail == {"smallest_odd_cycle": 5}
 
     def test_odd_order_membership_witness(self):
         # support {1, 6, 14} realizes 33 = 2*15 - 1 + 2*2 at order 15
         spec = CompanionSpec(15, "100001000000010")
-        report = smallest_cycle_two_exponent(spec)
+        report = formulas._smallest_cycle_two(facts(spec))
         assert report.value == 33
         assert oracle_exponent(companion_matrix(spec)) == 33
 
@@ -579,21 +601,19 @@ class TestSmallestCycleTwo:
             for spec in primitive_specs(n):
                 if spec.row[-1] != 0 or cycle_lengths(spec)[0] != 2:
                     continue
-                assert smallest_cycle_two_exponent(spec).value <= 2 * n - 2
+                assert formulas._smallest_cycle_two(facts(spec)).value <= 2 * n - 2
 
     def test_requires_smallest_cycle_two(self):
-        with pytest.raises(PreconditionError):
-            smallest_cycle_two_exponent(CompanionSpec(8, "10011000"))
+        assert formulas._smallest_cycle_two(facts(CompanionSpec(8, "10011000"))) == "rule needs smallest cycle length 2"
 
     def test_requires_order_four(self):
-        with pytest.raises(PreconditionError):
-            smallest_cycle_two_exponent(CompanionSpec(3, "110"))
+        assert formulas._smallest_cycle_two(facts(CompanionSpec(3, "110"))) == "rule needs n >= 4"
 
     @given(smallest_cycle_two_rows(25, 200))
     @settings(max_examples=100, deadline=None)
     def test_matches_set_based_value_past_order_24(self, row):
         spec = CompanionSpec(len(row), row)
-        assert smallest_cycle_two_exponent(spec).value == helpers.smallest_cycle_two_value(row)
+        assert formulas._smallest_cycle_two(facts(spec)).value == helpers.smallest_cycle_two_value(row)
 
     def test_parity_row_in_linear_time(self):
         # support {1} and the even vertices: every odd backstep from an even j
@@ -605,28 +625,6 @@ class TestSmallestCycleTwo:
         assert time.perf_counter() - start < 0.5
         assert (report.rule, report.value) == (RULE_SMALLEST_CYCLE_2, 2 * n - 1)
         assert report.detail == {"smallest_odd_cycle": n}
-
-
-class TestDirectRuleCalls:
-    """A rule called on a spec, not through `exponent`, checks primitivity itself."""
-
-    @pytest.mark.parametrize("rule", formulas._RULE_ORDER)
-    @pytest.mark.parametrize("row", ["10101010", "01111111"])  # imprimitive, reducible
-    def test_not_primitive_is_a_failed_precondition(self, rule, row):
-        with pytest.raises(PreconditionError, match="spec is not primitive"):
-            rule(CompanionSpec(8, row))
-
-    @pytest.mark.parametrize("rule", formulas._RULE_ORDER)
-    def test_cycle_lengths_computed_once(self, monkeypatch, rule):
-        calls = []
-        original = formulas.cycle_lengths
-        for module in (core, formulas):  # core's own callers, is_primitive among them, count too
-            monkeypatch.setattr(module, "cycle_lengths", lambda spec: calls.append(spec) or original(spec))
-        try:
-            rule(WIDE_SPEC)
-        except PreconditionError:
-            pass
-        assert calls == [WIDE_SPEC]
 
 
 class TestDispatch:

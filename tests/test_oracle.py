@@ -23,6 +23,7 @@ from companion_exponents import (
     wielandt_bound,
 )
 from helpers import (
+    as_lists,
     bit_slice,
     column_batch_exponents,
     irreducible_rows,
@@ -88,7 +89,7 @@ def primitive_specs(orders):
 
 def naive_powers(m):
     """m**1 .. m**bound as nested lists, by repeated triple-loop products."""
-    entries = m.to_lists()
+    entries = as_lists(m)
     out = [entries]
     for _ in range(wielandt_bound(m.n) - 1):
         out.append(naive_bool_product(out[-1], entries))
@@ -117,13 +118,13 @@ class TestBoolProduct:
     def test_companion_square_order_three(self):
         m = companion_matrix(CompanionSpec(3, "111"))
         sq = bool_product(m, m)
-        assert sq.to_lists()[2] == [1, 1, 1]
+        assert as_lists(sq)[2] == [1, 1, 1]
 
     @given(matrices, st.randoms(use_true_random=False))
     def test_matches_naive(self, x, rng):
         y = BoolMatrix(x.n, tuple(rng.randrange(1 << x.n) for _ in range(x.n)))
-        expected = naive_bool_product(x.to_lists(), y.to_lists())
-        assert bool_product(x, y).to_lists() == expected
+        expected = naive_bool_product(as_lists(x), as_lists(y))
+        assert as_lists(bool_product(x, y)) == expected
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
@@ -168,7 +169,7 @@ class TestGeneralMatrices:
     @given(general_matrices(8))
     @settings(deadline=None)
     def test_bool_product_chain_matches_naive_powers(self, m):
-        assert [p.to_lists() for p in product_chain(m)] == naive_powers(m)
+        assert [as_lists(p) for p in product_chain(m)] == naive_powers(m)
 
     @given(general_matrices(16))
     @example(BoolMatrix(1, (0,)))
@@ -189,7 +190,7 @@ class TestGeneralMatrices:
     @settings(max_examples=60, deadline=None)
     def test_local_exponents_match_frontier_walks(self, m):
         n = m.n
-        entries = m.to_lists()
+        entries = as_lists(m)
         bound = wielandt_bound(n)
         if not all(walk_exists(entries, i, j, bound) for i in range(1, n + 1) for j in range(1, n + 1)):
             with pytest.raises(NotPrimitiveError):
@@ -379,11 +380,11 @@ class TestWalkSemantics:
         for n in range(2, 6):
             for row in irreducible_rows(n):
                 m = companion_matrix(CompanionSpec(n, row))
-                entries = m.to_lists()
+                entries = as_lists(m)
                 for k, power in enumerate(product_chain(m), 1):
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
-                            assert bool(power.entry(i, j)) == walk_exists(entries, i, j, k)
+                            assert bool(power.rows[i - 1] >> (j - 1) & 1) == walk_exists(entries, i, j, k)
 
     def test_table_type(self):
         table = local_exponent_table(companion_matrix(CompanionSpec(4, "1110")))
