@@ -8,8 +8,8 @@ order.
 
 Throughout, `zeros`/`support` split the vertices 1..n by the last row
 (see core.vertex_partition).  Local exponents are read off the
-conductor's residue table by one fold: `local_exponents_from_last` for
-every e(n -> j), `exponent_from_last` for one.
+conductor's residue table: `exponent_from_last` starts it from the walks
+into one vertex, `local_exponents_from_last` folds rotated copies for all.
 
 Each rule is a private body that reads one facts object, built once per
 spec from the sorted cycle lengths: those lengths, the longest zero run
@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import sub
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import oracle
 from .core import CompanionSpec, companion_matrix, cycle_lengths, is_irreducible
-from .frobenius import _least, conductor, least_residues
+from .frobenius import _check_work, conductor, least_residues
 from .oracle import NotPrimitiveError
 
 RULE_POSITIVE_TRACE = "POSITIVE_TRACE"
@@ -109,17 +109,6 @@ def _two_cycles(f: _SpecFacts) -> ExponentReport | str:
     return ExponentReport(f.n + s * (f.n - 2), RULE_TWO_CYCLES, {"short_cycle": s})
 
 
-def _minima(least: list[float], vertices: Iterable[int]) -> Iterator[list[float]]:
-    """m after each support vertex s in turn: m[u] is the minimum over the vertices so far of
-    least[(u + s - 1) % a] - (s - 1), the table rotated left by s - 1, less s - 1."""
-    a, twice = len(least), least * 2
-    low: list[float] = [math.inf] * a
-    for s in vertices:
-        r = (s - 1) % a
-        low = list(map(min, low, map(sub, twice[r:r + a], repeat(s - 1))))
-        yield low
-
-
 def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
     """e(n -> j) for j = 1..n: the least k such that walks from vertex n of every length >= k
     end at j, so exp(i -> j) = max(1, n - i + e(n -> j)).  NotPrimitiveError first.
@@ -127,16 +116,21 @@ def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
     A walk n -> j is whole cycles, one jump to a support vertex s <= j and j - s steps, so its
     lengths are x + j - s + 1 for x in the cycle-length semigroup.  With a the smallest cycle
     length and least = `frobenius.least_residues`, the shortest one in class u + j (mod a) is
-    j + m[u] (`_minima` over the support vertices <= j), so e(n -> j) = j + max(m) - a + 1; a zero
-    vertex shares its anchor's m, and at j = n with a = 1 the empty walk counts.  One fold per
-    support vertex, O(|support| * a), which the MAX_CONDUCTOR_WORK cap on the table bounds.
+    j + m[u], where m[u] is the minimum over the support vertices s <= j of least[(u + s - 1) % a]
+    - (s - 1), the table rotated left by s - 1, less s - 1; so e(n -> j) = j + max(m) - a + 1, a
+    zero vertex shares its anchor's m, and at j = n with a = 1 the empty walk counts.  One fold
+    per support vertex, O(|support| * a), so a * (cycle lengths) over MAX_CONDUCTOR_WORK is refused.
     """
     lengths = require_primitive(spec)
     n, a = spec.n, lengths[0]
-    least = least_residues(lengths)
+    _check_work(a, len(lengths))
+    twice = least_residues(lengths) * 2
+    low: list[float] = [math.inf] * a
     vertices = [n + 1 - l for l in reversed(lengths)]  # ascending; n + 1 ends the last zero run
     out: list[int] = []
-    for s, up, low in zip(vertices, vertices[1:] + [n + 1], _minima(least, vertices)):
+    for s, up in zip(vertices, vertices[1:] + [n + 1]):
+        r = (s - 1) % a
+        low = list(map(min, low, map(sub, twice[r:r + a], repeat(s - 1))))
         top = max(low) - a + 1
         out.extend(range(top + s, top + up))
     if a == 1:  # the empty walk at n
@@ -145,19 +139,17 @@ def local_exponents_from_last(spec: CompanionSpec) -> tuple[int, ...]:
 
 
 def exponent_from_last(spec: CompanionSpec, j: int) -> int:
-    """e(n -> j) for one vertex 1 <= j <= n, as `local_exponents_from_last` gives it.  Only the
-    latest support vertex s <= j in each class of s - 1 modulo a is folded (an earlier one gives
-    the same rotation lowered by less), on the table of one cycle length per class, so the work
-    is a * classes under the conductor's own MAX_CONDUCTOR_WORK cap.  NotPrimitiveError first."""
+    """e(n -> j) for one vertex 1 <= j <= n, as `local_exponents_from_last` gives it, in one
+    residue pass: `least_residues` of the cycle lengths started from the walks n -> s -> ... -> j,
+    l + j - n steps for each cycle length l > n - j (s = n + 1 - l), so e(n -> j) = max(least) - a
+    + 1 and the work is the conductor's, a * (classes) under MAX_CONDUCTOR_WORK.
+    NotPrimitiveError first."""
     lengths = require_primitive(spec)
     n, a = spec.n, lengths[0]
-    least = _least(lengths)
     if j == n and a == 1:  # the empty walk at n
         return 0
-    anchors = {l % a: n + 1 - l for l in reversed(lengths) if l > n - j}  # s - 1 = n - l
-    for low in _minima(least, anchors.values()):
-        pass
-    return j + max(low) - a + 1
+    walks = (l + j - n for l in lengths if l > n - j)
+    return max(least_residues(lengths, ((w % a, w) for w in walks))) - a + 1
 
 
 def _block_prefix(f: _SpecFacts) -> ExponentReport | str:

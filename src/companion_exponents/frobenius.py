@@ -9,23 +9,24 @@ that convention and the off-by-one is easy to smuggle in otherwise.
 
 `least_residues` finds, for every residue r modulo the smallest generator
 a, the smallest representable integer congruent to r, by round-robin
-shortest paths (Boecker & Liptak, Algorithmica 2007): O(a*u) time and
-O(a) memory for u generators.  `conductor` (its maximum minus a - 1),
-`representable` and `formulas.exponent_from_last` build it from the least
-generator of each class modulo a, since the others add multiples of a to
-it: the work is a*min(u, a), and sets with more than MAX_CONDUCTOR_WORK are
-refused with ValueError.
+shortest paths (Boecker & Liptak, Algorithmica 2007).  It folds only the
+least generator of each class modulo a, since the others add multiples of
+a to it: O(a * classes) time and O(a) memory, refused with ValueError above
+MAX_CONDUCTOR_WORK.  `conductor` (its maximum minus a - 1) and
+`representable` start it from 0, `formulas.exponent_from_last` from the
+lengths of the walks into one vertex.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 MAX_CONDUCTOR_WORK = 4_000_000
-"""Largest smallest-generator times generator-count `least_residues` accepts (about 1 s); `conductor`,
-`representable` and `local-exp` count one per class (`local-exp` folds the table on top, 0.2-2.3 s at worst)."""
+"""Largest smallest-generator times residue-class count `least_residues` accepts: `local-exp` takes 1.0-1.1 s
+just under it.  `local_exponents_from_last` counts every cycle length and folds one rotated table per support
+vertex on top: 2.5-2.6 s on 1999 ones + 1999 zeros (2-core x86-64 host, Python 3.11)."""
 
 
 class NotCoprimeError(ValueError):
@@ -48,36 +49,38 @@ class GeneratorSet(NamedTuple):
         return cls(values, math.gcd(*values))
 
 
-def _least(values: Sequence[int]) -> list[float]:
-    """`least_residues` of the least of the ascending values in each class modulo the first."""
-    return least_residues({b % values[0]: b for b in reversed(values)}.values())
-
-
-def least_residues(gens: GeneratorSet | Iterable[int]) -> list[float]:
-    """least[r]: the smallest representable integer congruent to r modulo
-    the smallest generator a, or inf when there is none.
-
-    Each further generator b is folded in by walking the cycles
-    r -> r + b (mod a), each from its residue of smallest least[] value,
-    and relaxing least[(r + b) % a] with least[r] + b.  Raises ValueError
-    when a * (number of generators) exceeds MAX_CONDUCTOR_WORK.
-    """
-    g = GeneratorSet.of(gens)
-    a = g.values[0]
-    if a * len(g.values) > MAX_CONDUCTOR_WORK:
+def _check_work(a: int, u: int) -> None:
+    """ValueError naming MAX_CONDUCTOR_WORK when a * u exceeds it."""
+    if a * u > MAX_CONDUCTOR_WORK:
         raise ValueError(
-            f"smallest generator {a} times {len(g.values)} generators exceeds the limit "
+            f"smallest generator {a} times {u} generators exceeds the limit "
             f"{MAX_CONDUCTOR_WORK} (MAX_CONDUCTOR_WORK)")
+
+
+def least_residues(gens: GeneratorSet | Iterable[int], start: Iterable[tuple[int, int]] = ((0, 0),)) -> list[float]:
+    """least[r]: the smallest d + x congruent to r modulo the smallest generator a, over the
+    (d % a, d) pairs in start (0 alone by default) and the representable x, or inf if none.
+
+    The least generator b of each class is folded in by walking the cycles r -> r + b (mod a),
+    each from its residue of smallest least[] value, relaxing least[(r + b) % a] with least[r] +
+    b.  Raises ValueError when a * (number of classes) exceeds MAX_CONDUCTOR_WORK, before the
+    table exists or `start` is read.
+    """
+    values = GeneratorSet.of(gens).values
+    a = values[0]
+    classes = {b % a: b for b in reversed(values)}
+    _check_work(a, len(classes))
     least = [math.inf] * a
-    least[0] = 0
-    for b in g.values[1:]:
+    for r, x in start:
+        if x < least[r]:
+            least[r] = x
+    for b in sorted(classes.values())[1:]:
         d = math.gcd(a, b)
         for p in range(d):
-            start = min(range(p, a, d), key=least.__getitem__)
-            x = least[start]
+            r = min(range(p, a, d), key=least.__getitem__)
+            x = least[r]
             if x == math.inf:
                 continue
-            r = start
             for _ in range(a // d - 1):
                 x += b
                 r = (r + b) % a
@@ -94,7 +97,7 @@ def conductor(gens: GeneratorSet | Iterable[int]) -> int:
     g = GeneratorSet.of(gens)
     if g.gcd != 1:
         raise NotCoprimeError(f"gcd of generators {g.values} is {g.gcd}, conductor undefined")
-    return max(_least(g.values)) - g.values[0] + 1
+    return max(least_residues(g)) - g.values[0] + 1
 
 
 def representable(x: int, gens: GeneratorSet | Iterable[int]) -> bool:
@@ -102,7 +105,7 @@ def representable(x: int, gens: GeneratorSet | Iterable[int]) -> bool:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     values = [b for b in GeneratorSet.of(gens).values if b <= x]
-    return x >= _least(values)[x % values[0]] if values else x == 0
+    return x >= least_residues(values)[x % values[0]] if values else x == 0
 
 
 def pair_conductor(a: int, b: int) -> int:

@@ -210,6 +210,21 @@ def representable_sieve(gens, limit: int) -> list[bool]:
     return table
 
 
+def least_residues_reference(gens, start) -> list[float]:
+    """least[r]: the smallest d + x congruent to r modulo min(gens), over the (residue, d) pairs in
+    start and the x that `representable_sieve` marks.  A least element of a class is a sum of
+    fewer than min(gens) larger generators (a subset summing to 0 mod min(gens) could be dropped),
+    so x up to min(gens) * max(gens) covers every class."""
+    a = min(gens)
+    table = representable_sieve(gens, a * max(gens))
+    least = [math.inf] * a
+    for _, d in start:
+        for x, member in enumerate(table):
+            if member:
+                least[(d + x) % a] = min(least[(d + x) % a], d + x)
+    return least
+
+
 def scan_conductor(gens) -> int:
     """Scan upward until min(gens) consecutive representable integers appear.
 

@@ -211,7 +211,7 @@ class TestLocalExp:
         assert run(capsys, "local-exp", str(n), "11" + "0" * (n - 2), "1", "1") == (0, f"{(n - 1) ** 2 + 1}\n", "")
 
     def test_repeated_classes_answer(self, capsys):
-        # a = 1001 and 98 000 cycle lengths in 1001 classes: the table and the fold count classes
+        # a = 1001 and 98 000 cycle lengths in 1001 classes: the one residue pass counts classes
         n = 100_000
         row = "1" + "0" * 1000 + "1" * (n - 2001) + "0" * 1000
         for j, expected in ((1, 101_001), (50_000, 100_000), (100_000, 101_000)):

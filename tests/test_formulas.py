@@ -188,6 +188,16 @@ def primitive_rows(draw, min_order, max_order):
 
 
 @st.composite
+def rows_with_short_cycle(draw, min_order, max_order, max_short):
+    """Primitive rows whose smallest cycle length is at most max_short: the support ends at vertex
+    n + 1 - a, with vertices 2 .. n - a drawn; an imprimitive draw gets the cycle of length n - 1."""
+    n, a = draw(st.integers(min_order, max_order)), draw(st.integers(1, max_short))
+    y = draw(st.integers(0, (1 << (n - a - 1)) - 1))
+    row = "1" + format(y, f"0{n - a - 1}b") + "1" + "0" * (a - 1)
+    return row if helpers.row_cycle_gcd(row) == 1 else "11" + row[2:]
+
+
+@st.composite
 def zero_trace_primitive_rows(draw, min_order, max_order):
     """`primitive_rows` with vertex n dropped from the support; an imprimitive draw gets the cycle of length n - 1."""
     row = draw(primitive_rows(min_order, max_order))[:-1] + "0"
@@ -247,7 +257,7 @@ class TestLocalExponentsFromLast:
 
 
 class TestExponentFromLast:
-    """e(n -> j) for one vertex, folding the latest support vertex <= j of each class modulo l."""
+    """e(n -> j) for one vertex: one residue pass started from the walks n -> s -> ... -> j."""
 
     def test_every_vertex_of_small_orders(self):
         for n in range(2, 11):
@@ -261,6 +271,21 @@ class TestExponentFromLast:
         spec = CompanionSpec(len(row), row)
         for j in data.draw(st.lists(st.integers(1, len(row)), min_size=1, max_size=3)):
             assert formulas.exponent_from_last(spec, j) == helpers.local_exponent_from_last(row, j)
+
+    @given(rows_with_short_cycle(65, 300, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_every_vertex_with_many_lengths_per_class(self, row):
+        spec = CompanionSpec(len(row), row)
+        e = local_exponents_from_last(spec)
+        assert [formulas.exponent_from_last(spec, j) for j in range(1, len(row) + 1)] == list(e)
+
+    @given(primitive_rows(11, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_every_vertex_against_powering(self, row):
+        n, spec = len(row), CompanionSpec(len(row), row)
+        m = companion_matrix(spec)
+        for j in range(1, n + 1):
+            assert max(1, formulas.exponent_from_last(spec, j)) == local_exponent(m, n, j)
 
 
 class TestReportsPinned:

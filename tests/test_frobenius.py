@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from companion_exponents import (
+    CompanionSpec,
     GeneratorSet,
     NotCoprimeError,
     conductor,
@@ -16,9 +17,15 @@ from companion_exponents import (
     progression_conductor,
     representable,
 )
-from companion_exponents import frobenius
+from companion_exponents import formulas, frobenius
 from companion_exponents.frobenius import MAX_CONDUCTOR_WORK
-from helpers import coefficient_search_representable, representable_sieve, scan_conductor
+from helpers import (
+    coefficient_search_representable,
+    least_residues_reference,
+    local_exponent_from_last,
+    representable_sieve,
+    scan_conductor,
+)
 
 coprime_sets = (
     st.sets(st.integers(2, 24), min_size=1, max_size=4)
@@ -90,6 +97,28 @@ class TestRepresentable:
             representable(89, (10, 11, 12))
 
 
+class TestLeastResidues:
+    @given(st.integers(1, 3), st.sets(st.integers(1, 15), min_size=1, max_size=4),
+           st.lists(st.integers(0, 60), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_sieve_from_any_start(self, g, base, values):
+        # g > 1 leaves classes no start reaches at inf; the values fall in several classes
+        gens = {g * b for b in base}
+        a = min(gens)
+        start = [(d % a, d) for d in values]
+        assert frobenius.least_residues(gens, start) == least_residues_reference(gens, start)
+        assert frobenius.least_residues(gens) == least_residues_reference(gens, [(0, 0)])
+
+    def test_refuses_before_reading_start(self, monkeypatch):
+        def start():
+            raise AssertionError("start read before the cap check")
+            yield
+
+        monkeypatch.setattr(frobenius, "MAX_CONDUCTOR_WORK", 20)
+        with pytest.raises(ValueError, match="smallest generator 10 times 3 generators"):
+            frobenius.least_residues((10, 11, 12), start())
+
+
 class TestPairConductor:
     def test_small_pairs(self):
         assert pair_conductor(2, 3) == 2
@@ -157,9 +186,12 @@ class TestConductor:
         assert conductor((10, 11, 21, 31, 41, 30)) == 90
         with pytest.raises(ValueError, match="smallest generator 10 times 3 generators exceeds the limit 20 "):
             conductor((10, 11, 21, 32))
-        # least_residues itself still counts every generator it is given
-        with pytest.raises(ValueError, match="smallest generator 10 times 3 generators"):
-            frobenius.least_residues((10, 11, 21))
+        # least_residues counts classes too; the all-vertex fold refuses a * (cycle lengths) itself
+        assert frobenius.least_residues((10, 11, 21)) == frobenius.least_residues((10, 11))
+        spec = CompanionSpec(21, "1" + "0" * 9 + "11" + "0" * 9)  # cycle lengths 10, 11 and 21
+        assert formulas.exponent_from_last(spec, 1) == local_exponent_from_last(spec.row_string, 1)
+        with pytest.raises(ValueError, match="smallest generator 10 times 3 generators exceeds the limit 20 "):
+            formulas.local_exponents_from_last(spec)
 
     def test_work_limit(self, monkeypatch):
         a = MAX_CONDUCTOR_WORK // 2
